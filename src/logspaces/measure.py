@@ -89,9 +89,22 @@ class PiecewiseDensity:
         return self.pieces[bisect_right(starts, x) - 1].value
 
     def total(self) -> ExtendedReal:
+        """Mass of the carrier; Infinite exactly when the carrier is unbounded.
+
+        A bounded carrier whose mass exceeds the float range is rejected, so
+        that it is never filed as an infinite-measure component.
+        """
         if math.isinf(self.stop):
             return INF
-        return ExtendedReal(math.fsum(p.length * p.value for p in self.pieces))
+        try:
+            mass = math.fsum(p.length * p.value for p in self.pieces)
+        except OverflowError:  # finite terms whose sum overflows
+            mass = math.inf
+        if math.isinf(mass):
+            raise LogSpaceError(
+                f"mass of the bounded carrier [{self.start}, {self.stop}) overflows a float"
+            )
+        return ExtendedReal(mass)
 
 
 def density(spec: Iterable[tuple[float, float, float]]) -> PiecewiseDensity:

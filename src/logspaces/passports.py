@@ -72,6 +72,10 @@ class ClosedForm:
             raise LogSpaceError(f"{self.kind} parameter must be > 0")
         if self.kind == "GEOM" and self.params[1] <= 0:
             raise LogSpaceError("GEOM ratio must be > 0")
+        if self.kind == "GEOM" and self.params[1] == 1.0:
+            # a*1**i is the constant a: one sequence, one canonical form
+            object.__setattr__(self, "kind", "CONST")
+            object.__setattr__(self, "params", self.params[:1])
 
     def term(self, i: int) -> float:
         a = self.params[0]
@@ -103,11 +107,7 @@ class ClosedForm:
         if self.kind == "LINEAR":
             return (3, 0.0)
         r = self.params[1]
-        if r < 1.0:
-            return (0, r)
-        if r == 1.0:
-            return (2, 0.0)
-        return (4, r)
+        return (0, r) if r < 1.0 else (4, r)
 
 
 MeasureSeq = Union[FiniteList, ClosedForm]

@@ -17,11 +17,10 @@ the pieces involved; ``riemann_oracle`` is the independent brute-force check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal
@@ -33,6 +32,11 @@ from .measure import (
     _slice,
     refine,
 )
+
+# numpy is imported inside the oracle and its grid helpers, its only users, so
+# that importing the package (and so every CLI call) does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ class StepPiece:
         object.__setattr__(self, "coef", complex(self.coef))
         if math.isnan(self.start) or math.isinf(self.start) or not self.start < self.stop:
             raise LogSpaceError(f"step piece must satisfy start < stop, got [{self.start}, {self.stop})")
+        if not cmath.isfinite(self.coef):
+            raise LogSpaceError(f"step coefficient must be finite, got {self.coef!r}")
 
 
 def _canonical(raw: Iterable[tuple[float, float, complex]]) -> tuple[StepPiece, ...]:
@@ -155,6 +161,8 @@ def multiply(f: StepFunction, g: StepFunction) -> StepFunction:
 
 def scale(f: StepFunction, alpha: complex) -> StepFunction:
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise LogSpaceError(f"scale factor must be finite, got {alpha!r}")
     if alpha == 0:
         return StepFunction(((),) * len(f.pieces))
     return StepFunction(
@@ -289,6 +297,8 @@ def distance(
 
 def _values_on_grid(pieces: Sequence[StepPiece], xs: np.ndarray) -> np.ndarray:
     """|f| sampled pointwise; zero in the gaps."""
+    import numpy as np
+
     if not pieces:
         return np.zeros_like(xs)
     starts = np.array([p.start for p in pieces])
@@ -300,6 +310,8 @@ def _values_on_grid(pieces: Sequence[StepPiece], xs: np.ndarray) -> np.ndarray:
 
 
 def _density_on_grid(pd: PiecewiseDensity, xs: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     starts = np.array([p.start for p in pd.pieces[1:]])
     vals = np.array([p.value for p in pd.pieces])
     return vals[np.searchsorted(starts, xs, side="right")]
@@ -315,6 +327,8 @@ def riemann_oracle(
     check of the closed form rather than a victim of jump aliasing.  Supports
     must be bounded.
     """
+    import numpy as np
+
     if subdivisions < 1:
         raise LogSpaceError("subdivisions must be >= 1")
     _check_function_fits(f, space)

@@ -239,6 +239,7 @@ TRUTH_TABLE = [
     (decide_isometric_external, _P(u=(0,), m=(2.0,)), _P(s=(0,)), False, "full-passport-equality"),
     (decide_isometric_external, _P(m=ClosedForm("CONST", (1.0,))), _P(m=ClosedForm("CONST", (1.0,))), True, "full-passport-equality"),
     (decide_isometric_external, _P(m=ClosedForm("CONST", (1.0,))), _P(m=ClosedForm("CONST", (2.0,))), False, "full-passport-equality"),
+    (decide_isometric_external, _P(m=ClosedForm("GEOM", (2.0, 1.0))), _P(m=ClosedForm("CONST", (2.0,))), True, "full-passport-equality"),
     (decide_isometric_generalized, _P(u=(0, 1), m=(1.0, 0.5)), _P(u=(0, 1), m=(1.0, 0.5)), True, "third-rows"),
     (decide_isometric_generalized, _P(u=(0, 1), m=(1.0, 2.0)), _P(u=(0, 1), m=(2.0, 1.0)), False, "third-rows"),
     (decide_isometric_generalized, _P(m=ClosedForm("LINEAR", (1.0, 0.0))), _P(m=ClosedForm("LINEAR", (1.0, 0.0))), True, "third-rows"),

@@ -57,6 +57,17 @@ def test_total_measure_examples():
     assert total_measure(two).value == 5.0
 
 
+def test_total_rejects_overflow_on_bounded_carrier():
+    one_piece = constant_density(0, 1e200, 1e200)  # a single piece mass overflows
+    summed = density([(0.0, 1.0, 1e308), (1.0, 2.0, 1e308)])  # only the sum overflows
+    for dens in (one_piece, summed):
+        with pytest.raises(LogSpaceError, match="overflows"):
+            dens.total()
+    with pytest.raises(LogSpaceError, match="overflows"):
+        total_measure(MeasureSpace((Component(summed),)))
+    assert constant_density(0, 1e154, 1e154).total().value == 1e308
+
+
 def test_additivity_over_random_disjoint_families():
     rng = random.Random(11)
     for _ in range(200):

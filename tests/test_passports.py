@@ -53,6 +53,10 @@ class TestBuildPassport:
         assert p.row_s == (0,)
         assert p.row_u == ()
 
+    def test_overflowing_bounded_carrier_is_rejected_not_infinite(self):
+        with pytest.raises(LogSpaceError, match="overflows"):
+            build_passport(interval_space(0, 1e200, 1e200))
+
     def test_invariant_under_reordering_and_splitting(self):
         a = Component(density([(0.0, 2.0, 1.5)]), weight=0)
         b = Component(constant_density(0, 3), weight=1)
@@ -110,6 +114,12 @@ class TestMeasureSeq:
             ClosedForm("CUBIC", (1.0,))
         with pytest.raises(LogSpaceError):
             FiniteList((1.0, 0.0))
+
+    def test_geom_with_unit_ratio_is_const(self):
+        cf = ClosedForm("GEOM", (2.0, 1.0))
+        assert cf == ClosedForm("CONST", (2.0,))
+        assert render_passport(Passport(row_u=None, row_m=cf)) == "s:\nu: 0 1 2 ...\nm: CONST c=2"
+        assert decide_isometric_external(P(m=cf), P(m=ClosedForm("CONST", (2.0,)))).verdict
 
 
 # (a, b, expected ratio_bounded(a, b)); checked against direct evaluation below

@@ -64,6 +64,21 @@ class TestCanonicalForm:
         with pytest.raises(LogSpaceError, match="symbolic component"):
             step(sym, (0, 0.0, 0.5, 1))
 
+    def test_rejects_non_finite_coefficients(self):
+        for coef in (math.nan, math.inf, -math.inf, complex(1, math.nan), complex(0, math.inf)):
+            with pytest.raises(LogSpaceError, match="step coefficient must be finite"):
+                step(UNIT, (0, 0.0, 0.5, coef))
+
+    def test_scale_rejects_non_finite_factors(self):
+        f = step(UNIT, (0, 0.0, 0.5, 2))
+        for alpha in (math.nan, math.inf, complex(math.nan, 0)):
+            for g in (f, StepFunction.zero(UNIT)):
+                with pytest.raises(LogSpaceError, match="scale factor must be finite"):
+                    scale(g, alpha)
+        # a finite factor whose product overflows is caught by the piece check
+        with pytest.raises(LogSpaceError, match="step coefficient must be finite"):
+            scale(step(UNIT, (0, 0.0, 0.5, 1e300)), 1e300)
+
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0.01, 1.0)), max_size=6))
     def test_from_pieces_is_idempotent(self, raw):
         specs = []
