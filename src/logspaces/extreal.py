@@ -53,10 +53,20 @@ def finite(v: float) -> ExtendedReal:
 
 
 def ext_sum(values: Iterable[ExtendedReal]) -> ExtendedReal:
-    """Sum with infinity absorbing; finite parts use compensated summation."""
+    """Sum with infinity absorbing; finite parts use compensated summation.
+
+    Finite parts whose sum exceeds the float range are rejected, so that a
+    finite total is never reported as infinite.
+    """
     parts = []
     for v in values:
         if not v.is_finite:
             return INF
         parts.append(v.value)
-    return ExtendedReal(math.fsum(parts))
+    try:
+        total = math.fsum(parts)
+    except OverflowError:  # "intermediate overflow in fsum"
+        total = math.inf
+    if math.isinf(total):
+        raise LogSpaceError("sum of finite values overflows a float")
+    return ExtendedReal(total)

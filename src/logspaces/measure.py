@@ -216,17 +216,20 @@ def refine(*piece_lists: Sequence[IntervalPiece]) -> list[tuple[float, float, tu
     Yields (start, stop, values) cells where every input is constant.
     """
     idx = [0] * len(piece_lists)
-    lo = piece_lists[0][0].start
+    current = [pl[0] for pl in piece_lists]
+    lo = current[0].start
     out = []
-    while all(i < len(pl) for i, pl in zip(idx, piece_lists)):
-        hi = min(pl[i].stop for i, pl in zip(idx, piece_lists))
+    while True:
+        hi = min([p.stop for p in current])
         if hi > lo:
-            out.append((lo, hi, tuple(pl[i].value for i, pl in zip(idx, piece_lists))))
+            out.append((lo, hi, tuple([p.value for p in current])))
         for k, pl in enumerate(piece_lists):
-            if pl[idx[k]].stop == hi:
+            if current[k].stop == hi:
                 idx[k] += 1
+                if idx[k] == len(pl):
+                    return out
+                current[k] = pl[idx[k]]
         lo = hi
-    return out
 
 
 def _component_for(space: MeasureSpace, index: int) -> Component:
@@ -236,8 +239,13 @@ def _component_for(space: MeasureSpace, index: int) -> Component:
 
 
 def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
-    """mu of a finite interval union; Infinite iff some subinterval is unbounded."""
+    """mu of a finite interval union; Infinite iff some subinterval is unbounded.
+
+    A bounded set whose mass exceeds the float range is rejected rather than
+    reported as infinite.
+    """
     terms = []
+    starts: dict[int, list[float]] = {}
     for c, a, b in mset.parts:
         comp = _component_for(space, c)
         if not comp.realizable:
@@ -247,8 +255,22 @@ def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
             raise LogSpaceError("out of carrier")
         if math.isinf(b):
             return INF
-        terms.extend(p.length * p.value for p in _slice(comp.density.pieces, a, b))
-    return ExtendedReal(math.fsum(terms))
+        pieces = comp.density.pieces
+        if c not in starts:
+            starts[c] = [p.start for p in pieces]
+        # the piece holding a, then every piece that starts before b
+        k = bisect_right(starts[c], a) - 1
+        while k < len(pieces) and pieces[k].start < b:
+            p = pieces[k]
+            terms.append((min(p.stop, b) - max(p.start, a)) * p.value)
+            k += 1
+    try:
+        mass = math.fsum(terms)
+    except OverflowError:  # finite terms whose sum overflows
+        mass = math.inf
+    if math.isinf(mass):
+        raise LogSpaceError("mass of a bounded set overflows a float")
+    return ExtendedReal(mass)
 
 
 def total_measure(space: MeasureSpace) -> ExtendedReal:

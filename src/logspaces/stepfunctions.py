@@ -25,12 +25,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal
 from .measure import (
-    Component,
     MeasureSpace,
     PiecewiseDensity,
     SpaceDensity,
-    _slice,
     refine,
+    uniform_density,
 )
 
 # numpy is imported inside the oracle and its grid helpers, its only users, so
@@ -65,7 +64,7 @@ def _canonical(raw: Iterable[tuple[float, float, complex]]) -> tuple[StepPiece, 
             merged[-1][1] = b
         else:
             merged.append([a, b, c])
-    return tuple(StepPiece(a, b, c) for a, b, c in merged)
+    return tuple([StepPiece(a, b, c) for a, b, c in merged])
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class StepFunction:
     pieces: tuple[tuple[StepPiece, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(tuple(ps) for ps in self.pieces))
+        object.__setattr__(self, "pieces", tuple([tuple(ps) for ps in self.pieces]))
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "StepFunction":
@@ -97,7 +96,7 @@ class StepFunction:
             if a < lo or b > hi:
                 raise LogSpaceError("out of carrier")
             per[comp].append((a, b, complex(c)))
-        return cls(tuple(_canonical(ps) for ps in per))
+        return cls(tuple([_canonical(ps) for ps in per]))
 
     @property
     def is_zero(self) -> bool:
@@ -151,12 +150,12 @@ def _check_same_shape(f: StepFunction, g: StepFunction) -> None:
 
 def add(f: StepFunction, g: StepFunction) -> StepFunction:
     _check_same_shape(f, g)
-    return StepFunction(tuple(_combine(a, b, lambda x, y: x + y) for a, b in zip(f.pieces, g.pieces)))
+    return StepFunction(tuple([_combine(a, b, lambda x, y: x + y) for a, b in zip(f.pieces, g.pieces)]))
 
 
 def multiply(f: StepFunction, g: StepFunction) -> StepFunction:
     _check_same_shape(f, g)
-    return StepFunction(tuple(_combine(a, b, lambda x, y: x * y) for a, b in zip(f.pieces, g.pieces)))
+    return StepFunction(tuple([_combine(a, b, lambda x, y: x * y) for a, b in zip(f.pieces, g.pieces)]))
 
 
 def scale(f: StepFunction, alpha: complex) -> StepFunction:
@@ -166,7 +165,7 @@ def scale(f: StepFunction, alpha: complex) -> StepFunction:
     if alpha == 0:
         return StepFunction(((),) * len(f.pieces))
     return StepFunction(
-        tuple(_canonical((p.start, p.stop, alpha * p.coef) for p in ps) for ps in f.pieces)
+        tuple([_canonical([(p.start, p.stop, alpha * p.coef) for p in ps]) for ps in f.pieces])
     )
 
 
@@ -214,13 +213,18 @@ def _check_density_fits(space: MeasureSpace, h: SpaceDensity) -> None:
             raise LogSpaceError("kind/space mismatch")
 
 
-def _kind_weights(space: MeasureSpace, kind: NormKind) -> tuple[SpaceDensity | None, SpaceDensity | None]:
-    """(h1, h2) per the selected kind, validated against the space; None means 1."""
+def _kind_weights(space: MeasureSpace, kind: NormKind) -> tuple[SpaceDensity, SpaceDensity]:
+    """(h1, h2) per the selected kind, validated against the space.
+
+    External and Internal are the cases with unit weights; a unit factor
+    multiplies exactly, so their norms equal the plain formulas bit for bit.
+    """
     if isinstance(kind, External):
-        return None, None
+        unit = uniform_density(space)
+        return unit, unit
     if isinstance(kind, Internal):
         _check_density_fits(space, kind.h)
-        return None, kind.h
+        return uniform_density(space), kind.h
     if isinstance(kind, Generalized):
         _check_density_fits(space, kind.h1)
         _check_density_fits(space, kind.h2)
@@ -243,33 +247,32 @@ def _check_function_fits(f: StepFunction, space: MeasureSpace) -> None:
 def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind):
     """Closed-form cells (weight, scaled modulus); None signals an infinite norm.
 
-    Each cell contributes weight * log1p(scaled) where weight folds the piece
+    Each cell contributes weight * log1p(scaled) where weight folds the cell
     length, the space density and h1, and scaled is h2 * |coefficient|.
+    Density, h1 and h2 are refined once per component, and the sorted step
+    pieces walk those cells with a moving index, each cell clipped to the
+    piece: O(P + D) per component for P step pieces and D density pieces.
     """
     _check_function_fits(f, space)
     h1, h2 = _kind_weights(space, kind)
+    if any(ps and math.isinf(ps[-1].stop) for ps in f.pieces):
+        return None
     terms: list[tuple[float, float]] = []
-    for i, (comp, ps) in enumerate(zip(space.components, f.pieces)):
+    for comp, ps, h1c, h2c in zip(space.components, f.pieces, h1, h2):
         if not ps:
             continue
-        lists = [comp.density.pieces]
-        if h1 is not None:
-            lists.append(h1[i].pieces)
-        if h2 is not None:
-            lists.append(h2[i].pieces)
+        cells = refine(comp.density.pieces, h1c.pieces, h2c.pieces)
+        k = 0
         for p in ps:
-            if math.isinf(p.stop):
-                return None
-            mod = abs(p.coef)
-            for a, b, vals in refine(*[_slice(pl, p.start, p.stop) for pl in lists]):
-                d = vals[0]
-                if h1 is not None:
-                    w1, w2 = vals[1], vals[2]
-                elif h2 is not None:
-                    w1, w2 = 1.0, vals[1]
-                else:
-                    w1, w2 = 1.0, 1.0
-                terms.append(((b - a) * d * w1, w2 * mod))
+            a, b, mod = p.start, p.stop, abs(p.coef)
+            while cells[k][1] <= a:
+                k += 1
+            while True:
+                lo, hi, (d, w1, w2) = cells[k]
+                terms.append(((min(hi, b) - max(lo, a)) * d * w1, w2 * mod))
+                if hi >= b:  # the next piece may start inside this cell
+                    break
+                k += 1
     return terms
 
 
@@ -334,7 +337,7 @@ def riemann_oracle(
     _check_function_fits(f, space)
     h1, h2 = _kind_weights(space, kind)
     total = 0.0
-    for i, (comp, ps) in enumerate(zip(space.components, f.pieces)):
+    for comp, ps, h1c, h2c in zip(space.components, f.pieces, h1, h2):
         if not ps:
             continue
         if math.isinf(ps[-1].stop):
@@ -343,7 +346,7 @@ def riemann_oracle(
         cuts = {lo, hi}
         cuts.update(p.start for p in ps)
         cuts.update(p.stop for p in ps)
-        for pd in [comp.density] + [d[i] for d in (h1, h2) if d is not None]:
+        for pd in (comp.density, h1c, h2c):
             cuts.update(p.start for p in pd.pieces if lo < p.start < hi)
             cuts.update(p.stop for p in pd.pieces if lo < p.stop < hi)
         grid = sorted(cuts)
@@ -356,9 +359,7 @@ def riemann_oracle(
         xs = np.concatenate(mids_all)
         ws = np.concatenate(widths_all)
         vals = _values_on_grid(ps, xs)
-        integrand = _density_on_grid(comp.density, xs)
-        if h1 is not None:
-            integrand = integrand * _density_on_grid(h1[i], xs)
-        scaled = vals if h2 is None else _density_on_grid(h2[i], xs) * vals
+        integrand = _density_on_grid(comp.density, xs) * _density_on_grid(h1c, xs)
+        scaled = _density_on_grid(h2c, xs) * vals
         total += float(np.dot(ws, integrand * np.log1p(scaled)))
     return total

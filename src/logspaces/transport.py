@@ -208,7 +208,7 @@ def _transport_pair(src: Component, dst: Component, si: int, di: int) -> list[Co
 
 def monotone_transport(src: Component, dst: Component) -> TransportMap:
     """Cumulative-measure matching between two components of equal total measure."""
-    return TransportMap(tuple(_transport_pair(src, dst, 0, 0)), 1, 1)
+    return glue_transports([(src, dst)])
 
 
 def glue_transports(pairs: Sequence[tuple[Component, Component]]) -> TransportMap:
@@ -306,7 +306,7 @@ def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
             for dst, lo, hi in images:
                 if lo < hi:
                     buckets[dst].append((lo, hi, p.coef))
-    return StepFunction(tuple(_canonical(b) for b in buckets))
+    return StepFunction(tuple([_canonical(b) for b in buckets]))
 
 
 def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> StepFunction:

@@ -42,3 +42,5 @@ def test_ext_sum_compensated():
     assert ext_sum(vals).value == 10000.0
     assert ext_sum([ExtendedReal(1.0), INF, ExtendedReal(2.0)]) == INF
     assert ext_sum([]) == ExtendedReal(0.0)
+    with pytest.raises(LogSpaceError, match="overflows"):
+        ext_sum([ExtendedReal(1e308), ExtendedReal(1e308)])

@@ -68,6 +68,16 @@ def test_total_rejects_overflow_on_bounded_carrier():
     assert constant_density(0, 1e154, 1e154).total().value == 1e308
 
 
+def test_measure_rejects_overflow_on_bounded_set():
+    one_piece = interval_space(0, 1e200, 1e200)  # the part's one term overflows
+    with pytest.raises(LogSpaceError, match="overflows"):
+        measure(one_piece, MeasurableSet(((0, 0.0, 1e200),)))
+    summed = MeasureSpace((Component(density([(0.0, 1.0, 1e308), (1.0, 2.0, 1e308)])),))
+    with pytest.raises(LogSpaceError, match="overflows"):  # only the sum overflows
+        measure(summed, MeasurableSet(((0, 0.0, 2.0),)))
+    assert measure(one_piece, MeasurableSet(((0, 0.0, 1e100),))).value == 1e300
+
+
 def test_additivity_over_random_disjoint_families():
     rng = random.Random(11)
     for _ in range(200):

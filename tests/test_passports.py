@@ -57,6 +57,13 @@ class TestBuildPassport:
         with pytest.raises(LogSpaceError, match="overflows"):
             build_passport(interval_space(0, 1e200, 1e200))
 
+
+    def test_overflowing_weight_group_sum_is_rejected_not_infinite(self):
+        # each component's mass is finite; only the same-weight sum overflows
+        halves = (Component(constant_density(0, 1, 1e308)), Component(constant_density(1, 2, 1e308)))
+        with pytest.raises(LogSpaceError, match="overflows"):
+            build_passport(MeasureSpace(halves))
+
     def test_invariant_under_reordering_and_splitting(self):
         a = Component(density([(0.0, 2.0, 1.5)]), weight=0)
         b = Component(constant_density(0, 3), weight=1)

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -303,3 +305,25 @@ class TestRiemannOracle:
             kind = random_kind(rng, space)
             closed = log_norm(f, space, kind).value
             assert abs(closed - riemann_oracle(f, space, kind, 10**5)) < 1e-6
+
+
+def test_scale_does_not_grow_the_tuple_free_lists():
+    # A tuple built from a generator is grown by realloc and never drawn from
+    # CPython's per-size free lists, yet parks there when freed (up to 2000
+    # per size); built that way, this loop's tuples grow memory by ~1 MiB.
+    rng = random.Random(23)
+    fs = [random_step_function(rng, random_space(rng), max_pieces=16) for _ in range(300)]
+    alphas = [rng.uniform(-2.0, 2.0) for _ in range(30)]
+    for f in fs:
+        scale(f, 0.5)
+    gc.collect()  # a full collection empties the free lists
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for alpha in alphas:
+            for f in fs:
+                scale(f, alpha)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"9000 scale calls grew traced memory by {grown / 1024:.0f} KiB"
