@@ -63,10 +63,19 @@ def ext_sum(values: Iterable[ExtendedReal]) -> ExtendedReal:
         if not v.is_finite:
             return INF
         parts.append(v.value)
+    return ExtendedReal(finite_fsum(parts, "sum of finite values"))
+
+
+def finite_fsum(terms: Iterable[float], what: str) -> float:
+    """``math.fsum`` of terms that stand for a finite quantity.
+
+    A sum that exceeds the float range (or an infinite term) is rejected with
+    a LogSpaceError naming `what`, so it is never reported as infinite.
+    """
     try:
-        total = math.fsum(parts)
+        total = math.fsum(terms)
     except OverflowError:  # "intermediate overflow in fsum"
         total = math.inf
-    if math.isinf(total):
-        raise LogSpaceError("sum of finite values overflows a float")
-    return ExtendedReal(total)
+    if not math.isfinite(total):
+        raise LogSpaceError(f"{what} overflows a float")
+    return total

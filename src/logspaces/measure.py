@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import LogSpaceError
-from .extreal import INF, ExtendedReal, ext_sum
+from .extreal import INF, ExtendedReal, ext_sum, finite_fsum
 
 WeightLabel = int
 
@@ -96,15 +96,12 @@ class PiecewiseDensity:
         """
         if math.isinf(self.stop):
             return INF
-        try:
-            mass = math.fsum(p.length * p.value for p in self.pieces)
-        except OverflowError:  # finite terms whose sum overflows
-            mass = math.inf
-        if math.isinf(mass):
-            raise LogSpaceError(
-                f"mass of the bounded carrier [{self.start}, {self.stop}) overflows a float"
+        return ExtendedReal(
+            finite_fsum(
+                [p.length * p.value for p in self.pieces],
+                f"mass of the bounded carrier [{self.start}, {self.stop})",
             )
-        return ExtendedReal(mass)
+        )
 
 
 def density(spec: Iterable[tuple[float, float, float]]) -> PiecewiseDensity:
@@ -158,6 +155,14 @@ class MeasureSpace:
         return len(self.components)
 
 
+def _weight_groups(space: MeasureSpace) -> dict[WeightLabel, list[tuple[int, Component]]]:
+    """(index, component) pairs grouped by weight label, in ascending weight order."""
+    groups: dict[WeightLabel, list[tuple[int, Component]]] = {}
+    for i, comp in enumerate(space.components):
+        groups.setdefault(comp.weight, []).append((i, comp))
+    return {w: groups[w] for w in sorted(groups)}
+
+
 def space(*components: Component) -> MeasureSpace:
     return MeasureSpace(tuple(components))
 
@@ -199,15 +204,43 @@ class MeasurableSet:
 EMPTY_SET = MeasurableSet(())
 
 
-def _slice(pieces: Sequence[IntervalPiece], a: float, b: float) -> list[IntervalPiece]:
-    """Restrict a contiguous piece list to [a, b); caller guarantees coverage."""
-    out = []
-    for p in pieces:
-        lo = max(p.start, a)
-        hi = min(p.stop, b)
-        if lo < hi:
-            out.append(IntervalPiece(lo, hi, p.value))
-    return out
+def merge_pieces(*piece_lists: Sequence) -> Iterator[tuple[float, float, tuple]]:
+    """Walk sorted, disjoint piece lists against each other on their breakpoints.
+
+    Pieces are anything with ``start`` and ``stop``; the lists may have gaps
+    and different spans.  Yields (lo, hi, pieces) for every cell between
+    consecutive breakpoints, where pieces[k] is the piece of list k covering
+    [lo, hi), or None if list k has none there.  Cells that no list covers
+    are skipped.  O(total pieces) for a fixed number of lists.
+    """
+    inf = math.inf
+    lists = range(len(piece_lists))
+    its = [iter(pl) for pl in piece_lists]
+    heads = [next(it, None) for it in its]  # the live or the next piece of each list
+    live: list = [None] * len(piece_lists)
+    nxt = [inf if p is None else p.start for p in heads]  # next breakpoint of each list
+    covering = 0  # lists with a live piece; counted, since == on pieces is slow
+    lo = min(nxt, default=inf)
+    while lo != inf:
+        for k in lists:
+            if nxt[k] != lo:
+                continue
+            p = heads[k]
+            if live[k] is not None:  # the live piece ends here
+                covering -= 1
+                p = heads[k] = next(its[k], None)
+                if p is None:
+                    live[k], nxt[k] = None, inf
+                    continue
+            if p.start == lo:
+                live[k], nxt[k] = p, p.stop
+                covering += 1
+            else:  # a gap until p
+                live[k], nxt[k] = None, p.start
+        hi = min(nxt)
+        if covering:
+            yield lo, hi, tuple(live)
+        lo = hi
 
 
 def refine(*piece_lists: Sequence[IntervalPiece]) -> list[tuple[float, float, tuple[float, ...]]]:
@@ -215,21 +248,9 @@ def refine(*piece_lists: Sequence[IntervalPiece]) -> list[tuple[float, float, tu
 
     Yields (start, stop, values) cells where every input is constant.
     """
-    idx = [0] * len(piece_lists)
-    current = [pl[0] for pl in piece_lists]
-    lo = current[0].start
-    out = []
-    while True:
-        hi = min([p.stop for p in current])
-        if hi > lo:
-            out.append((lo, hi, tuple([p.value for p in current])))
-        for k, pl in enumerate(piece_lists):
-            if current[k].stop == hi:
-                idx[k] += 1
-                if idx[k] == len(pl):
-                    return out
-                current[k] = pl[idx[k]]
-        lo = hi
+    return [
+        (lo, hi, tuple([p.value for p in cell])) for lo, hi, cell in merge_pieces(*piece_lists)
+    ]
 
 
 def _component_for(space: MeasureSpace, index: int) -> Component:
@@ -264,13 +285,7 @@ def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
             p = pieces[k]
             terms.append((min(p.stop, b) - max(p.start, a)) * p.value)
             k += 1
-    try:
-        mass = math.fsum(terms)
-    except OverflowError:  # finite terms whose sum overflows
-        mass = math.inf
-    if math.isinf(mass):
-        raise LogSpaceError("mass of a bounded set overflows a float")
-    return ExtendedReal(mass)
+    return ExtendedReal(finite_fsum(terms, "mass of a bounded set"))
 
 
 def total_measure(space: MeasureSpace) -> ExtendedReal:
@@ -286,6 +301,15 @@ def uniform_density(space: MeasureSpace, value: float = 1.0) -> SpaceDensity:
         PiecewiseDensity((IntervalPiece(c.carrier[0], c.carrier[1], value),))
         for c in space.components
     )
+
+
+def _check_density_fits(space: MeasureSpace, h: SpaceDensity) -> None:
+    """h must supply one density per component, on exactly that carrier."""
+    if len(h) != len(space.components):
+        raise LogSpaceError("kind/space mismatch")
+    for comp, hc in zip(space.components, h):
+        if (hc.start, hc.stop) != comp.carrier:
+            raise LogSpaceError("kind/space mismatch")
 
 
 def _check_same_algebra(nu: MeasureSpace, mu: MeasureSpace) -> None:
@@ -314,12 +338,9 @@ def rn_derivative(nu: MeasureSpace, mu: MeasureSpace) -> SpaceDensity:
 
 def reweight(space: MeasureSpace, h: SpaceDensity) -> MeasureSpace:
     """The space whose density is (component density) * h: d(nu) = h d(mu)."""
-    if len(h) != len(space.components):
-        raise LogSpaceError("kind/space mismatch")
+    _check_density_fits(space, h)
     comps = []
     for comp, hc in zip(space.components, h):
-        if (hc.start, hc.stop) != comp.carrier:
-            raise LogSpaceError("kind/space mismatch")
         cells = refine(comp.density.pieces, hc.pieces)
         comps.append(
             Component(
@@ -336,7 +357,8 @@ def integrate_piecewise(
     """Exact integral of a non-negative piecewise-constant integrand against mu.
 
     One piece list per component, covering that carrier; Infinite iff a
-    nonzero integrand value sits on an unbounded piece.
+    nonzero integrand value sits on an unbounded piece; an integral over a
+    bounded support that exceeds the float range is rejected.
     """
     if len(integrand) != len(space.components):
         raise LogSpaceError("integrand must supply one piece list per component")
@@ -355,4 +377,4 @@ def integrate_piecewise(
             if math.isinf(b):
                 return INF
             terms.append((b - a) * d * f)
-    return ExtendedReal(math.fsum(terms))
+    return ExtendedReal(finite_fsum(terms, "integral over a bounded support"))

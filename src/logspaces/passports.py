@@ -20,7 +20,7 @@ from typing import Union
 
 from .errors import LogSpaceError
 from .extreal import ext_sum
-from .measure import MeasureSpace
+from .measure import MeasureSpace, _weight_groups
 from .render import format_real
 
 
@@ -184,14 +184,11 @@ def build_passport(space: MeasureSpace) -> Passport:
     Same-weight components merge: their measures add, and any infinite member
     makes the whole group infinite.
     """
-    groups: dict[int, list] = {}
-    for comp in space.components:
-        groups.setdefault(comp.weight, []).append(comp)
     row_s: list[int] = []
     row_u: list[int] = []
     values: list[float] = []
-    for weight in sorted(groups):
-        total = ext_sum(c.measure() for c in groups[weight])
+    for weight, items in _weight_groups(space).items():
+        total = ext_sum(c.measure() for _, c in items)
         if total.is_finite:
             row_u.append(weight)
             values.append(total.value)

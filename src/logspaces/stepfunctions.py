@@ -19,16 +19,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import LogSpaceError
-from .extreal import INF, ExtendedReal
+from .extreal import INF, ExtendedReal, finite_fsum
 from .measure import (
     MeasureSpace,
     PiecewiseDensity,
     SpaceDensity,
-    refine,
+    _check_density_fits,
+    merge_pieces,
     uniform_density,
 )
 
@@ -123,39 +125,29 @@ class StepFunction:
         return scale(self, -1)
 
 
-def _combine(
-    pa: Sequence[StepPiece], pb: Sequence[StepPiece], fn
-) -> tuple[StepPiece, ...]:
-    """Pointwise fn over the common refinement; fn(0, 0) must be 0."""
-    bps = sorted(
-        {p.start for p in pa} | {p.stop for p in pa} | {p.start for p in pb} | {p.stop for p in pb}
-    )
-    out = []
-    ia = ib = 0
-    for x1, x2 in zip(bps, bps[1:]):
-        while ia < len(pa) and pa[ia].stop <= x1:
-            ia += 1
-        while ib < len(pb) and pb[ib].stop <= x1:
-            ib += 1
-        va = pa[ia].coef if ia < len(pa) and pa[ia].start <= x1 else 0j
-        vb = pb[ib].coef if ib < len(pb) and pb[ib].start <= x1 else 0j
-        out.append((x1, x2, fn(va, vb)))
-    return _canonical(out)
+def _pointwise(f: StepFunction, g: StepFunction, fn) -> StepFunction:
+    """fn of the coefficients on the merged cells of f and g; gaps count as 0j.
 
-
-def _check_same_shape(f: StepFunction, g: StepFunction) -> None:
+    fn(0, 0) must be 0; cells on which neither function has a piece are skipped.
+    """
     if len(f.pieces) != len(g.pieces):
         raise LogSpaceError("step functions live on different spaces")
+    out = []
+    for pa, pb in zip(f.pieces, g.pieces):
+        cells = [
+            (lo, hi, fn(0j if p is None else p.coef, 0j if q is None else q.coef))
+            for lo, hi, (p, q) in merge_pieces(pa, pb)
+        ]
+        out.append(_canonical(cells))
+    return StepFunction(tuple(out))
 
 
 def add(f: StepFunction, g: StepFunction) -> StepFunction:
-    _check_same_shape(f, g)
-    return StepFunction(tuple([_combine(a, b, lambda x, y: x + y) for a, b in zip(f.pieces, g.pieces)]))
+    return _pointwise(f, g, operator.add)
 
 
 def multiply(f: StepFunction, g: StepFunction) -> StepFunction:
-    _check_same_shape(f, g)
-    return StepFunction(tuple([_combine(a, b, lambda x, y: x * y) for a, b in zip(f.pieces, g.pieces)]))
+    return _pointwise(f, g, operator.mul)
 
 
 def scale(f: StepFunction, alpha: complex) -> StepFunction:
@@ -205,14 +197,6 @@ class Generalized(NormKind):
         object.__setattr__(self, "h2", _as_space_density(self.h2))
 
 
-def _check_density_fits(space: MeasureSpace, h: SpaceDensity) -> None:
-    if len(h) != len(space.components):
-        raise LogSpaceError("kind/space mismatch")
-    for comp, hc in zip(space.components, h):
-        if (hc.start, hc.stop) != comp.carrier:
-            raise LogSpaceError("kind/space mismatch")
-
-
 def _kind_weights(space: MeasureSpace, kind: NormKind) -> tuple[SpaceDensity, SpaceDensity]:
     """(h1, h2) per the selected kind, validated against the space.
 
@@ -249,9 +233,8 @@ def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind):
 
     Each cell contributes weight * log1p(scaled) where weight folds the cell
     length, the space density and h1, and scaled is h2 * |coefficient|.
-    Density, h1 and h2 are refined once per component, and the sorted step
-    pieces walk those cells with a moving index, each cell clipped to the
-    piece: O(P + D) per component for P step pieces and D density pieces.
+    The step pieces, density, h1 and h2 of a component are merged in one
+    sweep: O(P + D) per component for P step pieces and D density pieces.
     """
     _check_function_fits(f, space)
     h1, h2 = _kind_weights(space, kind)
@@ -261,18 +244,9 @@ def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind):
     for comp, ps, h1c, h2c in zip(space.components, f.pieces, h1, h2):
         if not ps:
             continue
-        cells = refine(comp.density.pieces, h1c.pieces, h2c.pieces)
-        k = 0
-        for p in ps:
-            a, b, mod = p.start, p.stop, abs(p.coef)
-            while cells[k][1] <= a:
-                k += 1
-            while True:
-                lo, hi, (d, w1, w2) = cells[k]
-                terms.append(((min(hi, b) - max(lo, a)) * d * w1, w2 * mod))
-                if hi >= b:  # the next piece may start inside this cell
-                    break
-                k += 1
+        for lo, hi, (p, d, w1, w2) in merge_pieces(ps, comp.density.pieces, h1c.pieces, h2c.pieces):
+            if p is not None:
+                terms.append(((hi - lo) * d.value * w1.value, w2.value * abs(p.coef)))
     return terms
 
 
@@ -280,12 +254,13 @@ def log_norm(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) ->
     """The selected F-norm of f; Finite(0) iff f is zero.
 
     Infinite exactly when a nonzero coefficient sits on an unbounded piece;
-    otherwise the closed-form piece sum.
+    otherwise the closed-form piece sum.  A bounded support whose sum (or one
+    cell of it) exceeds the float range is rejected, not reported infinite.
     """
     terms = _norm_terms(f, space, kind)
     if terms is None:
         return INF
-    return ExtendedReal(math.fsum(w * math.log1p(s) for w, s in terms))
+    return ExtendedReal(finite_fsum([w * math.log1p(s) for w, s in terms], "norm of a bounded support"))
 
 
 def is_member(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) -> bool:

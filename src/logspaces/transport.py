@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import LogSpaceError
@@ -30,10 +31,11 @@ from .measure import (
     MeasureSpace,
     PiecewiseDensity,
     SpaceDensity,
-    _slice,
+    _weight_groups,
+    merge_pieces,
 )
 from .render import format_real
-from .stepfunctions import NormKind, StepFunction, StepPiece, _canonical, log_norm
+from .stepfunctions import NormKind, StepFunction, _as_space_density, _canonical, log_norm
 
 _TOTAL_RTOL = 1e-12
 _COVER_RTOL = 1e-9
@@ -112,8 +114,9 @@ class _Cell:
 
 def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[list[_Cell], float]:
     """Mass cells of one weight group: finite components first, one unbounded tail."""
-    finite = [(i, c) for i, c in items if c.measure().is_finite]
-    unbounded = [(i, c) for i, c in items if not c.measure().is_finite]
+    finite, unbounded = [], []
+    for i, c in items:
+        (finite if c.measure().is_finite else unbounded).append((i, c))
     if len(unbounded) > 1:
         raise LogSpaceError("pairing incomplete")
     cells: list[_Cell] = []
@@ -231,59 +234,55 @@ def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportM
     for sp in (src, dst):
         if any(not c.realizable for c in sp.components):
             raise LogSpaceError("symbolic component")
-    src_groups: dict[int, list[tuple[int, Component]]] = {}
-    for i, c in enumerate(src.components):
-        src_groups.setdefault(c.weight, []).append((i, c))
-    dst_groups: dict[int, list[tuple[int, Component]]] = {}
-    for i, c in enumerate(dst.components):
-        dst_groups.setdefault(c.weight, []).append((i, c))
-    if set(src_groups) != set(dst_groups):
+    src_groups = _weight_groups(src)
+    dst_groups = _weight_groups(dst)
+    if src_groups.keys() != dst_groups.keys():
         raise LogSpaceError("no measure-preserving map")
     entries: list[ComponentTransport] = []
-    for weight in sorted(src_groups):
-        src_cells, sm = _group_cells(src_groups[weight])
+    for weight, items in src_groups.items():
+        src_cells, sm = _group_cells(items)
         dst_cells, dm = _group_cells(dst_groups[weight])
         _check_totals(sm, dm)
         entries.extend(_match_mass_lines(src_cells, sm, dst_cells, dm))
     return TransportMap(tuple(entries), len(src.components), len(dst.components))
 
 
-def _clip_to_entries(
-    tmap: TransportMap, comp: int, a: float, b: float
-) -> tuple[list[tuple[int, float, float]], float]:
-    """Images of [a, b) under every entry piece of component `comp`.
+def _images(tmap: TransportMap, sources: dict[int, Sequence]) -> list[tuple]:
+    """(source piece, dst component, image interval) for every cell of the sources.
 
-    Returns (dst_component, image interval) triples and the covered source length.
+    `sources` maps a source component to its sorted, disjoint pieces, which
+    are merged with that component's affine pieces sorted by start.  A
+    bounded piece must be covered up to a 1e-9 relative sliver; an unbounded
+    one must be covered out to +inf.
     """
-    images: list[tuple[int, float, float]] = []
-    covered = 0.0
+    by_src: dict[int, list[ComponentTransport]] = {}
     for entry in tmap.entries:
-        if entry.src != comp:
-            continue
-        for piece in entry.pieces:
-            lo = max(a, piece.start)
-            hi = min(b, piece.stop)
-            if lo < hi:
-                images.append((entry.dst, piece.image_of(lo), piece.image_of(hi)))
-                if not math.isinf(hi):
-                    covered += hi - lo
-                else:
-                    covered = math.inf
-    return images, covered
+        by_src.setdefault(entry.src, []).append(entry)
+    images = []
+    for comp, pieces in sources.items():
+        entries = by_src.get(comp, [])
+        dst_at = {t.start: e.dst for e in entries for t in e.pieces}
+        affine = sorted([t for e in entries for t in e.pieces], key=attrgetter("start"))
+        covered = {p.start: 0.0 for p in pieces}  # mapped source length per piece
+        for lo, hi, (p, t) in merge_pieces(pieces, affine):
+            if p is not None and t is not None:
+                images.append((p, dst_at[t.start], t.image_of(lo), t.image_of(hi)))
+                covered[p.start] += hi - lo
+        for p in pieces:
+            length, mapped = p.stop - p.start, covered[p.start]
+            unmapped_tail = math.isinf(length) and not math.isinf(mapped)
+            if unmapped_tail or length - mapped > _COVER_RTOL * (1.0 + length):
+                raise LogSpaceError("unmapped support")
+    return images
 
 
 def transport_set(tmap: TransportMap, mset: MeasurableSet) -> MeasurableSet:
     """Image of an interval set under the transport."""
-    parts: list[tuple[int, float, float]] = []
+    # a slice is the plainest object with a start and a stop: one part [a, b)
+    sources: dict[int, list[slice]] = {}
     for comp, a, b in mset.parts:
-        images, covered = _clip_to_entries(tmap, comp, a, b)
-        if math.isinf(b):
-            if not any(math.isinf(hi) for _, _, hi in images):
-                raise LogSpaceError("unmapped support")
-        elif (b - a) - covered > _COVER_RTOL * (1.0 + (b - a)):
-            raise LogSpaceError("unmapped support")
-        parts.extend(images)
-    return MeasurableSet(tuple(parts))
+        sources.setdefault(comp, []).append(slice(a, b))
+    return MeasurableSet(tuple([(dst, y0, y1) for _, dst, y0, y1 in _images(tmap, sources)]))
 
 
 def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
@@ -295,35 +294,30 @@ def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
     if len(f.pieces) != tmap.src_components:
         raise LogSpaceError("function/space mismatch")
     buckets: list[list[tuple[float, float, complex]]] = [[] for _ in range(tmap.dst_components)]
-    for comp, pieces in enumerate(f.pieces):
-        for p in pieces:
-            images, covered = _clip_to_entries(tmap, comp, p.start, p.stop)
-            if math.isinf(p.stop):
-                if not any(math.isinf(hi) for _, _, hi in images):
-                    raise LogSpaceError("unmapped support")
-            elif (p.stop - p.start) - covered > _COVER_RTOL * (1.0 + (p.stop - p.start)):
-                raise LogSpaceError("unmapped support")
-            for dst, lo, hi in images:
-                if lo < hi:
-                    buckets[dst].append((lo, hi, p.coef))
+    sources = {comp: pieces for comp, pieces in enumerate(f.pieces) if pieces}
+    for p, dst, lo, hi in _images(tmap, sources):
+        if lo < hi:
+            buckets[dst].append((lo, hi, p.coef))
     return StepFunction(tuple([_canonical(b) for b in buckets]))
 
 
 def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> StepFunction:
-    """U(f) = f / h; turns the plain norm of f into the h-weighted norm of U(f)."""
-    if isinstance(h, PiecewiseDensity):
-        h = (h,)
-    h = tuple(h)
+    """U(f) = f / h; turns the plain norm of f into the h-weighted norm of U(f).
+
+    Every piece of f must lie in the carrier of its component's h.
+    """
+    h = _as_space_density(h)
     if len(h) != len(f.pieces):
         raise LogSpaceError("kind/space mismatch")
     out = []
     for hc, pieces in zip(h, f.pieces):
         raw = []
-        for p in pieces:
-            if p.start < hc.start or (not math.isinf(p.stop) and p.stop > hc.stop):
+        for lo, hi, (p, w) in merge_pieces(pieces, hc.pieces):
+            if p is None:
+                continue
+            if w is None:
                 raise LogSpaceError("out of carrier")
-            for sub in _slice(hc.pieces, p.start, p.stop):
-                raw.append((sub.start, sub.stop, p.coef / sub.value))
+            raw.append((lo, hi, p.coef / w.value))
         out.append(_canonical(raw))
     return StepFunction(tuple(out))
 

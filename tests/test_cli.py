@@ -99,6 +99,21 @@ def test_infinite_norm_reports_inf(tmp_path):
     assert result.returncode == 0
 
 
+def test_overflowing_norm_exits_2(tmp_path):
+    text = """{
+      "space": [{"weight": 0, "carrier": [0, 1], "density": [{"from": 0, "to": 1, "value": 1e308}]}],
+      "functions": {"f": [{"component": 0, "from": 0, "to": 0.5, "re": 5},
+                          {"component": 0, "from": 0.5, "to": 1, "re": 6}]}
+    }"""
+    ws = tmp_path / "huge.json"
+    ws.write_text(text)
+    result = run_cli("norm", "--file", str(ws), "--fn", "f")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "norm of a bounded support overflows a float" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_reports_are_deterministic():
     args = ["verify", "--file", FIXTURE, "--target", "transport", "--samples", "25", "--seed", "7"]
     a, b = run_cli(*args), run_cli(*args)

@@ -173,6 +173,15 @@ def test_integrate_piecewise_infinite_and_signed():
         integrate_piecewise(interval_space(0, 1), ((IntervalPiece(0.0, 1.0, -1.0),),))
 
 
+def test_integrate_piecewise_rejects_overflow_on_bounded_support():
+    one_term = ((IntervalPiece(0.0, 10.0, 1e10),),)  # 10 * 1e300 * 1e10 overflows
+    with pytest.raises(LogSpaceError, match="integral over a bounded support overflows"):
+        integrate_piecewise(interval_space(0, 10, 1e300), one_term)
+    summed = ((IntervalPiece(0.0, 1.0, 1.0), IntervalPiece(1.0, 2.0, 1.0)),)  # only the sum overflows
+    with pytest.raises(LogSpaceError, match="integral over a bounded support overflows"):
+        integrate_piecewise(interval_space(0, 2, 1e308), summed)
+
+
 def test_integrate_piecewise_matches_midpoint_oracle():
     rng = random.Random(14)
     for _ in range(5):

@@ -153,6 +153,18 @@ class TestLogNorm:
         g = step(UNIT, (0, 0.0, 1.0, 5.0))
         assert log_norm(f, UNIT).value == log_norm(g, UNIT).value
 
+    def test_rejects_overflow_on_bounded_support(self):
+        big = interval_space(0, 1, 1e308)
+        summed = step(big, (0, 0.0, 0.5, 5), (0, 0.5, 1.0, 6))  # each term finite, the sum is not
+        wide = interval_space(0, 1e200, 1e200)
+        one_cell = step(wide, (0, 0.0, 1e200, 1))  # the cell weight itself overflows
+        for f, space in ((summed, big), (one_cell, wide)):
+            with pytest.raises(LogSpaceError, match="norm of a bounded support overflows"):
+                log_norm(f, space)
+            with pytest.raises(LogSpaceError, match="overflows"):
+                is_member(f, space)
+        assert log_norm(step(big, (0, 0.0, 0.5, 5)), big).value == 0.5e308 * math.log1p(5)
+
     def test_kind_space_mismatch(self):
         h = uniform_density(interval_space(0, 2), 1.0)
         with pytest.raises(LogSpaceError, match="kind/space mismatch"):

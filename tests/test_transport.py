@@ -184,6 +184,15 @@ class TestWeighting:
         assert log_norm(f, s).value == pytest.approx(1.0, abs=1e-12)
         assert log_norm(u, s, Internal(h)).value == pytest.approx(1.0, abs=1e-12)
 
+    def test_uncovered_unbounded_piece_is_out_of_carrier(self):
+        hl = MeasureSpace((comp([(0.0, math.inf, 1.0)]),))
+        f = StepFunction.from_pieces(hl, [(0, 0.5, math.inf, 2)])
+        h = (density([(0.0, 1.0, 2.0)]),)  # covers only [0, 1)
+        with pytest.raises(LogSpaceError, match="out of carrier"):
+            weighting_isometry(f, h)
+        with pytest.raises(LogSpaceError, match="out of carrier"):  # a bounded piece past h
+            weighting_isometry(StepFunction.from_pieces(hl, [(0, 0.5, 1.5, 2)]), h)
+
     def test_step_density_worked_example(self):
         s = interval_space(0, 1)
         h = (density([(0.0, 0.5, 2.0), (0.5, 1.0, 4.0)]),)
