@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -40,7 +41,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
+# slotted: pieces are the most numerous objects, and a slot-less instance
+# is about 40 bytes larger
+@dataclass(frozen=True, slots=True)
 class StepPiece:
     start: float
     stop: float
@@ -228,25 +231,71 @@ def _check_function_fits(f: StepFunction, space: MeasureSpace) -> None:
                 raise LogSpaceError("out of carrier")
 
 
-def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind):
-    """Closed-form cells (weight, scaled modulus); None signals an infinite norm.
+# per component: the cell starts, and the cells (lo, hi, density, h1, h2)
+_CellTable = list[tuple[list[float], list[tuple[float, float, float, float, float]]]]
+
+
+def _compile_cells(space: MeasureSpace, kind: NormKind) -> _CellTable:
+    """Merge each component's density with its h1 and h2 into constant cells."""
+    h1, h2 = _kind_weights(space, kind)
+    table = []
+    for comp, h1c, h2c in zip(space.components, h1, h2):
+        cells = [
+            (lo, hi, d.value, w1.value, w2.value)
+            for lo, hi, (d, w1, w2) in merge_pieces(comp.density.pieces, h1c.pieces, h2c.pieces)
+        ]
+        table.append(([c[0] for c in cells], cells))
+    return table
+
+
+def _cell_table(space: MeasureSpace, kind: NormKind) -> _CellTable:
+    """The compiled cells of (space, kind), kept on the space.
+
+    A space holds two tables: the unit-weight one, shared by every External
+    kind, and the weighted one of the last other kind object it was normed
+    under, which hits only for that very object: comparing kinds by value
+    would walk every density piece, which is what the table saves.  A table
+    is never mutated once stored and a recompiled one is equal, so
+    concurrent callers at worst compile it twice.
+    """
+    stored = space.__dict__  # the dataclass is frozen; its fields are untouched
+    if isinstance(kind, External):
+        table = stored.get("_unit_cells")
+        if table is None:
+            table = stored["_unit_cells"] = _compile_cells(space, kind)
+        return table
+    slot = stored.get("_kind_cells")
+    if slot is None or slot[0] is not kind:
+        slot = stored["_kind_cells"] = (kind, _compile_cells(space, kind))
+    return slot[1]
+
+
+def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind) -> list[float] | None:
+    """Closed-form cell terms; None signals an infinite norm.
 
     Each cell contributes weight * log1p(scaled) where weight folds the cell
     length, the space density and h1, and scaled is h2 * |coefficient|.
-    The step pieces, density, h1 and h2 of a component are merged in one
-    sweep: O(P + D) per component for P step pieces and D density pieces.
+    Every step piece bisects into the compiled cells of its component and
+    is clipped to the cells it overlaps: O(P log D + cells) per component
+    for P step pieces and D density pieces, once the table is compiled.
     """
     _check_function_fits(f, space)
-    h1, h2 = _kind_weights(space, kind)
-    if any(ps and math.isinf(ps[-1].stop) for ps in f.pieces):
-        return None
-    terms: list[tuple[float, float]] = []
-    for comp, ps, h1c, h2c in zip(space.components, f.pieces, h1, h2):
-        if not ps:
-            continue
-        for lo, hi, (p, d, w1, w2) in merge_pieces(ps, comp.density.pieces, h1c.pieces, h2c.pieces):
-            if p is not None:
-                terms.append(((hi - lo) * d.value * w1.value, w2.value * abs(p.coef)))
+    table = _cell_table(space, kind)
+    inf, log1p = math.inf, math.log1p
+    terms: list[float] = []
+    for ps, (starts, cells) in zip(f.pieces, table):
+        n = len(cells)
+        for p in ps:
+            a, b, mod = p.start, p.stop, abs(p.coef)
+            if b == inf:
+                return None
+            k = bisect_right(starts, a) - 1  # the cell holding a, then every cell that starts before b
+            while k < n:
+                lo, hi, d, w1, w2 = cells[k]
+                if lo >= b:
+                    break
+                terms.append(((hi if hi < b else b) - (lo if lo > a else a)) * d * w1 * log1p(w2 * mod))
+                k += 1
     return terms
 
 
@@ -260,7 +309,7 @@ def log_norm(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) ->
     terms = _norm_terms(f, space, kind)
     if terms is None:
         return INF
-    return ExtendedReal(finite_fsum([w * math.log1p(s) for w, s in terms], "norm of a bounded support"))
+    return ExtendedReal(finite_fsum(terms, "norm of a bounded support"))
 
 
 def is_member(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) -> bool:

@@ -24,7 +24,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .errors import LogSpaceError
-from .extreal import ExtendedReal
+from .extreal import ExtendedReal, finite_fsum
 from .measure import (
     Component,
     MeasurableSet,
@@ -114,11 +114,19 @@ class _Cell:
 
 def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[list[_Cell], float]:
     """Mass cells of one weight group: finite components first, one unbounded tail."""
-    finite, unbounded = [], []
+    finite, unbounded, masses = [], [], []
     for i, c in items:
-        (finite if c.measure().is_finite else unbounded).append((i, c))
+        mass = c.measure()
+        if mass.is_finite:
+            finite.append((i, c))
+            masses.append(mass.value)
+        else:
+            unbounded.append((i, c))
     if len(unbounded) > 1:
         raise LogSpaceError("pairing incomplete")
+    # the same check as the passport's group total, so an overflowing bounded
+    # part is rejected here too rather than matched as an infinite mass line
+    finite_fsum(masses, "sum of finite values")
     cells: list[_Cell] = []
     m = 0.0
     for idx, comp in finite + unbounded:

@@ -12,6 +12,7 @@ from logspaces import (
     EXTERNAL,
     INF,
     Component,
+    External,
     Generalized,
     Internal,
     LogSpaceError,
@@ -169,6 +170,74 @@ class TestLogNorm:
         h = uniform_density(interval_space(0, 2), 1.0)
         with pytest.raises(LogSpaceError, match="kind/space mismatch"):
             log_norm(step(UNIT, (0, 0.0, 0.5, 1)), UNIT, Internal(h))
+
+
+class TestCompiledCellTables:
+    """A space compiles its norm cells once per kind object and keeps two tables."""
+
+    def test_tables_follow_the_space_and_the_kind_object(self):
+        a, b = interval_space(0, 1, 1.0), interval_space(0, 1, 3.0)
+        kind = Internal(uniform_density(a, 2.0))
+        other = Internal(uniform_density(a, 4.0))
+        f_a, f_b = step(a, (0, 0.0, 1.0, E1 / 2)), step(b, (0, 0.0, 1.0, E1 / 2))
+        for _ in range(2):  # each space keeps its own table for the shared kind
+            assert log_norm(f_a, a, kind).value == pytest.approx(1.0, abs=1e-12)
+            assert log_norm(f_b, b, kind).value == pytest.approx(3.0, abs=1e-12)
+            assert log_norm(f_a, a, other).value == pytest.approx(math.log1p(2 * E1), abs=1e-12)
+            assert log_norm(f_a, a, EXTERNAL).value == pytest.approx(math.log1p(E1 / 2), abs=1e-12)
+
+    def test_mismatch_is_raised_after_a_fitting_space_stored_its_table(self):
+        a, b = interval_space(0, 1), interval_space(0, 2)
+        h = uniform_density(a, 2.0)
+        for kind in (Internal(h), Generalized(h, h)):
+            assert log_norm(step(a, (0, 0.0, 0.5, 1)), a, kind).value > 0.0
+            for _ in range(2):
+                with pytest.raises(LogSpaceError, match="kind/space mismatch"):
+                    log_norm(step(b, (0, 0.0, 0.5, 1)), b, kind)
+
+    def test_weights_are_validated_only_when_a_table_is_compiled(self, monkeypatch):
+        import logspaces.stepfunctions as sf
+
+        compiled = []
+        kind_weights = sf._kind_weights
+        monkeypatch.setattr(sf, "_kind_weights", lambda sp, k: compiled.append(k) or kind_weights(sp, k))
+        space = interval_space(0, 2, 1.5)
+        f = step(space, (0, 0.0, 1.5, 2))
+        kind = Generalized(uniform_density(space, 2.0), uniform_density(space, 0.5))
+        for _ in range(3):
+            for k in (EXTERNAL, kind, External()):
+                log_norm(f, space, k)
+        assert compiled == [EXTERNAL, kind]
+
+    def test_norm_calls_leave_equality_hash_and_repr_alone(self):
+        space = MeasureSpace((Component(density([(0.0, 1.0, 1.0), (1.0, 2.0, 2.0)])),))
+        twin = MeasureSpace(space.components)
+        kind = Generalized(uniform_density(space, 2.0), uniform_density(space, 0.5))
+        before = (repr(space), hash(space), repr(kind), hash(kind))
+        for k in (EXTERNAL, kind):
+            log_norm(step(space, (0, 0.5, 1.5, 3)), space, k)
+        assert (repr(space), hash(space), repr(kind), hash(kind)) == before
+        assert space == twin and twin == space
+        assert kind == Generalized(uniform_density(twin, 2.0), uniform_density(twin, 0.5))
+
+    def test_many_kinds_keep_one_weighted_table(self):
+        space = MeasureSpace((Component(density([(i, i + 1.0, 1.0 + i % 7) for i in range(200)])),))
+        f = step(space, (0, 10.0, 20.0, 2), (0, 150.0, 160.0, 3))
+        gc.collect()  # a full collection empties the free lists
+        tracemalloc.start()
+        try:
+            empty = tracemalloc.get_traced_memory()[0]
+            log_norm(f, space, Internal(uniform_density(space, 1.0)))
+            gc.collect()
+            one = tracemalloc.get_traced_memory()[0]
+            for i in range(1, 1001):
+                log_norm(f, space, Internal(uniform_density(space, 1.0 + i / 1000)))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - one
+        finally:
+            tracemalloc.stop()
+        table = one - empty
+        assert grown < table, f"1000 kinds grew traced memory by {grown} B; one table is {table} B"
 
 
 class TestMembershipAndDistance:

@@ -126,6 +126,14 @@ class TestSpaceTransport:
         with pytest.raises(LogSpaceError, match="symbolic component"):
             transport_between_spaces(src, dst)
 
+    def test_overflowing_group_is_rejected_like_its_passport(self):
+        # each component's mass is finite; only the same-weight sum overflows
+        space = MeasureSpace((comp([(0.0, 1.0, 1e308)]), comp([(5.0, 6.0, 1e308)])))
+        with pytest.raises(LogSpaceError, match="sum of finite values overflows"):
+            build_passport(space)
+        with pytest.raises(LogSpaceError, match="sum of finite values overflows"):
+            transport_between_spaces(space, space)
+
     def test_two_unbounded_components_unrepresentable(self):
         hl = comp([(0.0, math.inf, 1.0)])
         src = MeasureSpace((hl, hl))
