@@ -55,15 +55,18 @@ def finite(v: float) -> ExtendedReal:
 def ext_sum(values: Iterable[ExtendedReal]) -> ExtendedReal:
     """Sum with infinity absorbing; finite parts use compensated summation.
 
-    Finite parts whose sum exceeds the float range are rejected, so that a
-    finite total is never reported as infinite.
+    Finite parts whose sum exceeds the float range are rejected, even next
+    to an infinite part, so that an overflow is never reported as infinite.
     """
     parts = []
+    infinite = False
     for v in values:
-        if not v.is_finite:
-            return INF
-        parts.append(v.value)
-    return ExtendedReal(finite_fsum(parts, "sum of finite values"))
+        if v.is_finite:
+            parts.append(v.value)
+        else:
+            infinite = True
+    total = finite_fsum(parts, "sum of finite values")
+    return INF if infinite else ExtendedReal(total)
 
 
 def finite_fsum(terms: Iterable[float], what: str) -> float:

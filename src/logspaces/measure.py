@@ -83,13 +83,6 @@ class PiecewiseDensity:
     def stop(self) -> float:
         return self.pieces[-1].stop
 
-    def value_at(self, x: float) -> float:
-        """Pointwise value; x must lie in [start, stop)."""
-        if not (self.start <= x < self.stop):
-            raise LogSpaceError("out of carrier")
-        starts = [p.start for p in self.pieces]
-        return self.pieces[bisect_right(starts, x) - 1].value
-
     def total(self) -> ExtendedReal:
         """Mass of the carrier; Infinite exactly when the carrier is unbounded.
 
@@ -199,10 +192,6 @@ class MeasurableSet:
             if prev is not None and prev[0] == c and a < prev[1]:
                 raise LogSpaceError("subintervals within a component must be disjoint")
             prev = (c, b)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
 
     def total_length(self) -> float:
         return math.fsum(b - a for _, a, b in self.parts)

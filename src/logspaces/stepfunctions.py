@@ -2,8 +2,12 @@
 
 A step function holds finitely many constant complex pieces per realizable
 component and is zero elsewhere.  Canonical form (sorted, disjoint, adjacent
-equal pieces merged, zero pieces dropped) is maintained by every operation,
-so equality of step functions is equality of their canonical data.
+equal pieces merged, zero pieces dropped) is enforced by one builder,
+``_from_cells``, through which every operation and ``from_pieces`` build
+their pieces, so equality of step functions is equality of their canonical
+data.  The builder checks every piece as ``StepPiece`` does (finite start
+before its stop, finite coefficient) and rejects overlaps, so a NaN or
+reversed bound, or a product that overflows, raises a ``LogSpaceError``.
 
 Norm kinds:
 
@@ -41,6 +45,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def _bad_piece(start: float, stop: float, coef: complex) -> LogSpaceError:
+    if math.isnan(start) or math.isinf(start) or not start < stop:
+        return LogSpaceError(f"step piece must satisfy start < stop, got [{start}, {stop})")
+    return LogSpaceError(f"step coefficient must be finite, got {coef!r}")
+
+
 # slotted: pieces are the most numerous objects, and a slot-less instance
 # is about 40 bytes larger
 @dataclass(frozen=True, slots=True)
@@ -53,23 +63,66 @@ class StepPiece:
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "stop", float(self.stop))
         object.__setattr__(self, "coef", complex(self.coef))
-        if math.isnan(self.start) or math.isinf(self.start) or not self.start < self.stop:
-            raise LogSpaceError(f"step piece must satisfy start < stop, got [{self.start}, {self.stop})")
-        if not cmath.isfinite(self.coef):
-            raise LogSpaceError(f"step coefficient must be finite, got {self.coef!r}")
+        if not (-math.inf < self.start < self.stop and cmath.isfinite(self.coef)):
+            raise _bad_piece(self.start, self.stop, self.coef)
+
+
+# the builder writes each field through its slot, past __init__, so that a
+# piece it has checked is neither checked nor built a second time
+_new = object.__new__
+_set_start = StepPiece.start.__set__
+_set_stop = StepPiece.stop.__set__
+_set_coef = StepPiece.coef.__set__
+
+
+def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiece, ...]:
+    """Canonical pieces from (start, stop, coef) cells sorted by start.
+
+    Bounds must be floats and coefficients complex.  Zero coefficients are
+    dropped and touching neighbours with equal coefficients merged.  Every
+    other cell gets the checks of ``StepPiece`` (-inf < start < stop, a
+    finite coefficient: a finite factor times a finite coefficient can
+    overflow) and must start no earlier than the kept cell before it stops,
+    which rejects overlapping and unsorted cells alike.
+    """
+    inf, isfinite = math.inf, cmath.isfinite
+    out: list[StepPiece] = []
+    last = None
+    end = -inf  # stop of the last kept piece
+    for a, b, c in cells:
+        if not c:
+            continue
+        if not (-inf < a < b and isfinite(c)):
+            raise _bad_piece(a, b, c)
+        if a < end:
+            raise LogSpaceError("step function pieces must be disjoint")
+        if a == end and c == last.coef:
+            _set_stop(last, b)
+        else:
+            last = _new(StepPiece)
+            _set_start(last, a)
+            _set_stop(last, b)
+            _set_coef(last, c)
+            out.append(last)
+        end = b
+    return tuple(out)
+
+
+_bounds = operator.itemgetter(0, 1)
 
 
 def _canonical(raw: Iterable[tuple[float, float, complex]]) -> tuple[StepPiece, ...]:
-    items = sorted(((a, b, c) for a, b, c in raw if c != 0 and a < b), key=lambda t: (t[0], t[1]))
-    merged: list[list] = []
-    for a, b, c in items:
-        if merged and a < merged[-1][1]:
-            raise LogSpaceError("step function pieces must be disjoint")
-        if merged and a == merged[-1][1] and c == merged[-1][2]:
-            merged[-1][1] = b
-        else:
-            merged.append([a, b, c])
-    return tuple([StepPiece(a, b, c) for a, b, c in merged])
+    """``_from_cells`` of (start, stop, coef) entries in any order; zero-length ones are dropped."""
+    cells = [(float(a), float(b), complex(c)) for a, b, c in raw if a != b]
+    cells.sort(key=_bounds)
+    return _from_cells(cells)
+
+
+def _wrap(pieces: tuple[tuple[StepPiece, ...], ...]) -> "StepFunction":
+    """A StepFunction around a tuple of builder outputs, which need no re-tupling."""
+    f = _new(StepFunction)
+    object.__setattr__(f, "pieces", pieces)
+    return f
 
 
 @dataclass(frozen=True)
@@ -100,15 +153,12 @@ class StepFunction:
             lo, hi = component.carrier
             if a < lo or b > hi:
                 raise LogSpaceError("out of carrier")
-            per[comp].append((a, b, complex(c)))
-        return cls(tuple([_canonical(ps) for ps in per]))
+            per[comp].append((a, b, c))
+        return _wrap(tuple([_canonical(ps) for ps in per]))
 
     @property
     def is_zero(self) -> bool:
         return all(not ps for ps in self.pieces)
-
-    def support_length(self) -> float:
-        return math.fsum(p.stop - p.start for ps in self.pieces for p in ps)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         return add(self, other)
@@ -141,8 +191,8 @@ def _pointwise(f: StepFunction, g: StepFunction, fn) -> StepFunction:
             (lo, hi, fn(0j if p is None else p.coef, 0j if q is None else q.coef))
             for lo, hi, (p, q) in merge_pieces(pa, pb)
         ]
-        out.append(_canonical(cells))
-    return StepFunction(tuple(out))
+        out.append(_from_cells(cells))
+    return _wrap(tuple(out))
 
 
 def add(f: StepFunction, g: StepFunction) -> StepFunction:
@@ -159,8 +209,8 @@ def scale(f: StepFunction, alpha: complex) -> StepFunction:
         raise LogSpaceError(f"scale factor must be finite, got {alpha!r}")
     if alpha == 0:
         return StepFunction(((),) * len(f.pieces))
-    return StepFunction(
-        tuple([_canonical([(p.start, p.stop, alpha * p.coef) for p in ps]) for ps in f.pieces])
+    return _wrap(
+        tuple([_from_cells([(p.start, p.stop, alpha * p.coef) for p in ps]) for ps in f.pieces])
     )
 
 
@@ -231,8 +281,9 @@ def _check_function_fits(f: StepFunction, space: MeasureSpace) -> None:
                 raise LogSpaceError("out of carrier")
 
 
-# per component: the cell starts, and the cells (lo, hi, density, h1, h2)
-_CellTable = list[tuple[list[float], list[tuple[float, float, float, float, float]]]]
+# per component: whether it is realizable, the cell starts, and the cells
+# (lo, hi, density, h1, h2), which run from the carrier's start to its stop
+_CellTable = list[tuple[bool, list[float], list[tuple[float, float, float, float, float]]]]
 
 
 def _compile_cells(space: MeasureSpace, kind: NormKind) -> _CellTable:
@@ -244,7 +295,7 @@ def _compile_cells(space: MeasureSpace, kind: NormKind) -> _CellTable:
             (lo, hi, d.value, w1.value, w2.value)
             for lo, hi, (d, w1, w2) in merge_pieces(comp.density.pieces, h1c.pieces, h2c.pieces)
         ]
-        table.append(([c[0] for c in cells], cells))
+        table.append((comp.realizable, [c[0] for c in cells], cells))
     return table
 
 
@@ -278,17 +329,34 @@ def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind) -> list[fl
     Every step piece bisects into the compiled cells of its component and
     is clipped to the cells it overlaps: O(P log D + cells) per component
     for P step pieces and D density pieces, once the table is compiled.
+    The table's first and last cells check that f fits the space, with the
+    errors of ``_check_function_fits`` in its order.
     """
-    _check_function_fits(f, space)
-    table = _cell_table(space, kind)
+    if len(f.pieces) != len(space.components):
+        raise LogSpaceError("function/space mismatch")
+    try:
+        table = _cell_table(space, kind)
+    except LogSpaceError:
+        _check_function_fits(f, space)  # a misfit function is reported before the kind
+        raise
     inf, log1p = math.inf, math.log1p
     terms: list[float] = []
-    for ps, (starts, cells) in zip(f.pieces, table):
+    infinite = False
+    for ps, (realizable, starts, cells) in zip(f.pieces, table):
+        if not ps:
+            continue
+        if not realizable:
+            raise LogSpaceError("symbolic component")
+        if ps[0].start < cells[0][0] or ps[-1].stop > cells[-1][1]:
+            raise LogSpaceError("out of carrier")
+        if infinite:  # later components are still checked
+            continue
         n = len(cells)
         for p in ps:
             a, b, mod = p.start, p.stop, abs(p.coef)
             if b == inf:
-                return None
+                infinite = True
+                break
             k = bisect_right(starts, a) - 1  # the cell holding a, then every cell that starts before b
             while k < n:
                 lo, hi, d, w1, w2 = cells[k]
@@ -296,7 +364,7 @@ def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind) -> list[fl
                     break
                 terms.append(((hi if hi < b else b) - (lo if lo > a else a)) * d * w1 * log1p(w2 * mod))
                 k += 1
-    return terms
+    return None if infinite else terms
 
 
 def log_norm(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) -> ExtendedReal:

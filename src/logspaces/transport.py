@@ -35,7 +35,15 @@ from .measure import (
     merge_pieces,
 )
 from .render import format_real
-from .stepfunctions import NormKind, StepFunction, _as_space_density, _canonical, log_norm
+from .stepfunctions import (
+    NormKind,
+    StepFunction,
+    _as_space_density,
+    _canonical,
+    _from_cells,
+    _wrap,
+    log_norm,
+)
 
 _TOTAL_RTOL = 1e-12
 _COVER_RTOL = 1e-9
@@ -306,7 +314,7 @@ def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
     for p, dst, lo, hi in _images(tmap, sources):
         if lo < hi:
             buckets[dst].append((lo, hi, p.coef))
-    return StepFunction(tuple([_canonical(b) for b in buckets]))
+    return _wrap(tuple([_canonical(b) for b in buckets]))
 
 
 def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> StepFunction:
@@ -326,8 +334,8 @@ def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> S
             if w is None:
                 raise LogSpaceError("out of carrier")
             raw.append((lo, hi, p.coef / w.value))
-        out.append(_canonical(raw))
-    return StepFunction(tuple(out))
+        out.append(_from_cells(raw))
+    return _wrap(tuple(out))
 
 
 def _deviation(a: ExtendedReal, b: ExtendedReal) -> float:

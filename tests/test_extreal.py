@@ -44,3 +44,8 @@ def test_ext_sum_compensated():
     assert ext_sum([]) == ExtendedReal(0.0)
     with pytest.raises(LogSpaceError, match="overflows"):
         ext_sum([ExtendedReal(1e308), ExtendedReal(1e308)])
+
+
+def test_ext_sum_rejects_overflow_next_to_infinity():
+    with pytest.raises(LogSpaceError, match="sum of finite values overflows"):
+        ext_sum([ExtendedReal(1e308), INF, ExtendedReal(1e308)])

@@ -64,6 +64,16 @@ class TestBuildPassport:
         with pytest.raises(LogSpaceError, match="overflows"):
             build_passport(MeasureSpace(halves))
 
+    def test_overflowing_bounded_part_next_to_an_unbounded_member_is_rejected(self):
+        # the group is infinite either way, but its bounded part overflows
+        comps = (
+            Component(constant_density(0, 1, 1e308)),
+            Component(constant_density(5, 6, 1e308)),
+            halfline_component(),
+        )
+        with pytest.raises(LogSpaceError, match="sum of finite values overflows"):
+            build_passport(MeasureSpace(comps))
+
     def test_invariant_under_reordering_and_splitting(self):
         a = Component(density([(0.0, 2.0, 1.5)]), weight=0)
         b = Component(constant_density(0, 3), weight=1)

@@ -134,6 +134,18 @@ class TestSpaceTransport:
         with pytest.raises(LogSpaceError, match="sum of finite values overflows"):
             transport_between_spaces(space, space)
 
+    def test_overflowing_group_with_an_unbounded_member_is_rejected_like_its_decision(self):
+        # decision and construction agree: both reject the overflowing bounded part
+        src = MeasureSpace(
+            (comp([(0.0, 1.0, 1e308)]), comp([(5.0, 6.0, 1e308)]), comp([(10.0, math.inf, 1.0)]))
+        )
+        half = MeasureSpace((comp([(0.0, math.inf, 1.0)]),))
+        with pytest.raises(LogSpaceError) as built:
+            transport_between_spaces(src, half)
+        with pytest.raises(LogSpaceError) as decided:
+            decide_isometric_external(build_passport(src), build_passport(half))
+        assert str(built.value) == str(decided.value) == "sum of finite values overflows a float"
+
     def test_two_unbounded_components_unrepresentable(self):
         hl = comp([(0.0, math.inf, 1.0)])
         src = MeasureSpace((hl, hl))
