@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import LogSpaceError
@@ -139,9 +139,9 @@ class Component:
 class MeasureSpace:
     """Disjoint union of components; each component is its own coordinate axis.
 
-    The norm keeps compiled cell tables in the instance dict (see
-    ``stepfunctions._cell_table``); they are not fields, so equality, hashing
-    and repr ignore them.
+    A space keeps its density index (``_density_index``) and one weighted
+    norm table (``stepfunctions._cell_table``) in the instance dict; they
+    are not fields, so equality, hashing and repr ignore them.
     """
 
     components: tuple[Component, ...]
@@ -197,9 +197,6 @@ class MeasurableSet:
         return math.fsum(b - a for _, a, b in self.parts)
 
 
-EMPTY_SET = MeasurableSet(())
-
-
 def merge_pieces(*piece_lists: Sequence) -> Iterator[tuple[float, float, tuple]]:
     """Walk sorted, disjoint piece lists against each other on their breakpoints.
 
@@ -249,10 +246,25 @@ def refine(*piece_lists: Sequence[IntervalPiece]) -> list[tuple[float, float, tu
     ]
 
 
-def _component_for(space: MeasureSpace, index: int) -> Component:
-    if not 0 <= index < len(space.components):
-        raise LogSpaceError(f"component index {index} out of range")
-    return space.components[index]
+# per component: whether it is realizable, the cell starts, and the cells
+# (lo, hi, density, w1, w2), which run from the carrier's start to its stop
+_CellTable = list[tuple[bool, list[float], list[tuple[float, float, float, float, float]]]]
+
+
+def _density_index(space: MeasureSpace) -> _CellTable:
+    """Each component's density pieces as unit-weight cells, kept on the space.
+
+    Set measures and the plain norm bisect into it.  It is never mutated
+    once stored, so concurrent callers at worst build equal indexes twice.
+    """
+    index = space.__dict__.get("_index")  # the dataclass is frozen; its fields are untouched
+    if index is None:
+        index = []
+        for comp in space.components:
+            cells = [(p.start, p.stop, p.value, 1.0, 1.0) for p in comp.density.pieces]
+            index.append((comp.realizable, [c[0] for c in cells], cells))
+        space.__dict__["_index"] = index
+    return index
 
 
 def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
@@ -261,25 +273,25 @@ def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
     A bounded set whose mass exceeds the float range is rejected rather than
     reported as infinite.
     """
+    index = _density_index(space)
     terms = []
-    starts: dict[int, list[float]] = {}
     for c, a, b in mset.parts:
-        comp = _component_for(space, c)
-        if not comp.realizable:
+        if not 0 <= c < len(index):
+            raise LogSpaceError(f"component index {c} out of range")
+        realizable, starts, cells = index[c]
+        if not realizable:
             raise LogSpaceError("symbolic component")
-        lo, hi = comp.carrier
-        if a < lo or b > hi:
+        if a < cells[0][0] or b > cells[-1][1]:
             raise LogSpaceError("out of carrier")
         if math.isinf(b):
             return INF
-        pieces = comp.density.pieces
-        if c not in starts:
-            starts[c] = [p.start for p in pieces]
-        # the piece holding a, then every piece that starts before b
-        k = bisect_right(starts[c], a) - 1
-        while k < len(pieces) and pieces[k].start < b:
-            p = pieces[k]
-            terms.append((min(p.stop, b) - max(p.start, a)) * p.value)
+        # the cell holding a, then every cell that starts before b
+        k, n = bisect_right(starts, a) - 1, len(cells)
+        while k < n:
+            lo, hi, d, _, _ = cells[k]
+            if lo >= b:
+                break
+            terms.append(((hi if hi < b else b) - (lo if lo > a else a)) * d)
             k += 1
     return ExtendedReal(finite_fsum(terms, "mass of a bounded set"))
 

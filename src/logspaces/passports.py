@@ -215,12 +215,20 @@ def _closed_form_text(cf: ClosedForm) -> str:
     return cf.kind + "".join(f" {n}={format_real(p)}" for n, p in zip(names, cf.params))
 
 
-def _third_rows_diff(ma: MeasureSeq, mb: MeasureSeq, rel_tol: float = 1e-12) -> str | None:
+_MEASURE_RTOL = 1e-12
+
+
+def _same_measure(x: float, y: float) -> bool:
+    """Equal as passport measures, to 1e-12 relative; an infinite one equals only itself."""
+    return math.isclose(x, y, rel_tol=_MEASURE_RTOL)
+
+
+def _third_rows_diff(ma: MeasureSeq, mb: MeasureSeq) -> str | None:
     if isinstance(ma, FiniteList) and isinstance(mb, FiniteList):
         if len(ma) != len(mb):
             return f"third rows differ in length: {len(ma)} vs {len(mb)}"
         for k, (x, y) in enumerate(zip(ma.values, mb.values)):
-            if abs(x - y) > rel_tol * max(abs(x), abs(y)):
+            if not _same_measure(x, y):
                 return f"third rows differ at index {k}: {format_real(x)} vs {format_real(y)}"
         return None
     if isinstance(ma, ClosedForm) and isinstance(mb, ClosedForm):

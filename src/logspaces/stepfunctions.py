@@ -34,7 +34,9 @@ from .measure import (
     MeasureSpace,
     PiecewiseDensity,
     SpaceDensity,
+    _CellTable,
     _check_density_fits,
+    _density_index,
     merge_pieces,
     uniform_density,
 )
@@ -127,12 +129,18 @@ def _wrap(pieces: tuple[tuple[StepPiece, ...], ...]) -> "StepFunction":
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Complex simple function; one canonical piece tuple per component."""
+    """Complex simple function; one canonical piece tuple per component.
+
+    The constructor checks only that pieces are sorted and disjoint.
+    """
 
     pieces: tuple[tuple[StepPiece, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple([tuple(ps) for ps in self.pieces]))
+        pieces = tuple([tuple(ps) for ps in self.pieces])
+        if any(q.start < p.stop for ps in pieces for p, q in zip(ps, ps[1:])):
+            raise LogSpaceError("step function pieces must be disjoint")
+        object.__setattr__(self, "pieces", pieces)
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "StepFunction":
@@ -281,43 +289,30 @@ def _check_function_fits(f: StepFunction, space: MeasureSpace) -> None:
                 raise LogSpaceError("out of carrier")
 
 
-# per component: whether it is realizable, the cell starts, and the cells
-# (lo, hi, density, h1, h2), which run from the carrier's start to its stop
-_CellTable = list[tuple[bool, list[float], list[tuple[float, float, float, float, float]]]]
-
-
-def _compile_cells(space: MeasureSpace, kind: NormKind) -> _CellTable:
-    """Merge each component's density with its h1 and h2 into constant cells."""
-    h1, h2 = _kind_weights(space, kind)
-    table = []
-    for comp, h1c, h2c in zip(space.components, h1, h2):
-        cells = [
-            (lo, hi, d.value, w1.value, w2.value)
-            for lo, hi, (d, w1, w2) in merge_pieces(comp.density.pieces, h1c.pieces, h2c.pieces)
-        ]
-        table.append((comp.realizable, [c[0] for c in cells], cells))
-    return table
-
-
 def _cell_table(space: MeasureSpace, kind: NormKind) -> _CellTable:
-    """The compiled cells of (space, kind), kept on the space.
+    """The cells of (space, kind), kept on the space.
 
-    A space holds two tables: the unit-weight one, shared by every External
-    kind, and the weighted one of the last other kind object it was normed
-    under, which hits only for that very object: comparing kinds by value
-    would walk every density piece, which is what the table saves.  A table
-    is never mutated once stored and a recompiled one is equal, so
-    concurrent callers at worst compile it twice.
+    Every External kind uses the space's density index, whose unit weights
+    multiply exactly.  Any other kind uses the one weighted table the space
+    keeps: each component's density merged with its h1 and h2, compiled for
+    the last kind object the space was normed under.  It hits only for that
+    very object: comparing kinds by value would walk every density piece,
+    which is what the table saves.  A table is never mutated once stored
+    and a recompiled one is equal, so concurrent callers at worst compile
+    it twice.
     """
-    stored = space.__dict__  # the dataclass is frozen; its fields are untouched
     if isinstance(kind, External):
-        table = stored.get("_unit_cells")
-        if table is None:
-            table = stored["_unit_cells"] = _compile_cells(space, kind)
-        return table
+        return _density_index(space)
+    stored = space.__dict__  # the dataclass is frozen; its fields are untouched
     slot = stored.get("_kind_cells")
     if slot is None or slot[0] is not kind:
-        slot = stored["_kind_cells"] = (kind, _compile_cells(space, kind))
+        h1, h2 = _kind_weights(space, kind)
+        table = []
+        for comp, h1c, h2c in zip(space.components, h1, h2):
+            merged = merge_pieces(comp.density.pieces, h1c.pieces, h2c.pieces)
+            cells = [(lo, hi, d.value, w1.value, w2.value) for lo, hi, (d, w1, w2) in merged]
+            table.append((comp.realizable, [c[0] for c in cells], cells))
+        slot = stored["_kind_cells"] = (kind, table)
     return slot[1]
 
 

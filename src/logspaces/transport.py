@@ -7,6 +7,10 @@ piecewise affine, so it is stored as finitely many affine pieces; unbounded
 carriers contribute one unbounded tail piece.  Spaces are matched weight
 group by weight group along concatenated mass lines, which also handles a
 group whose two sides split their mass over different component counts.
+Two groups are matched only if their totals, the passport's compensated
+sums, are equal as passport measures (1e-12 relative), so the construction
+accepts exactly the groups the isometry decision does; the map itself
+follows the running sums of the two mass lines.
 
 On step functions the transport acts by ``lift`` (coefficients ride along,
 intervals move), and ``weighting_isometry`` divides by a density to move
@@ -24,7 +28,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .errors import LogSpaceError
-from .extreal import ExtendedReal, finite_fsum
+from .extreal import ExtendedReal, ext_sum
 from .measure import (
     Component,
     MeasurableSet,
@@ -34,6 +38,7 @@ from .measure import (
     _weight_groups,
     merge_pieces,
 )
+from .passports import _MEASURE_RTOL, _same_measure
 from .render import format_real
 from .stepfunctions import (
     NormKind,
@@ -45,7 +50,6 @@ from .stepfunctions import (
     log_norm,
 )
 
-_TOTAL_RTOL = 1e-12
 _COVER_RTOL = 1e-9
 
 
@@ -120,21 +124,20 @@ class _Cell:
         return self.p0 + (m - self.m0) / self.dens
 
 
-def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[list[_Cell], float]:
-    """Mass cells of one weight group: finite components first, one unbounded tail."""
-    finite, unbounded, masses = [], [], []
-    for i, c in items:
-        mass = c.measure()
-        if mass.is_finite:
-            finite.append((i, c))
-            masses.append(mass.value)
-        else:
-            unbounded.append((i, c))
+def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[list[_Cell], float, float]:
+    """Mass cells of one weight group: finite components first, one unbounded tail.
+
+    Returns the cells, the mass line's end (its running sum), and the
+    group's total as the passport computes it, +inf for an unbounded group.
+    """
+    masses = [c.measure() for _, c in items]
+    finite = [item for item, mass in zip(items, masses) if mass.is_finite]
+    unbounded = [item for item, mass in zip(items, masses) if not mass.is_finite]
     if len(unbounded) > 1:
         raise LogSpaceError("pairing incomplete")
-    # the same check as the passport's group total, so an overflowing bounded
-    # part is rejected here too rather than matched as an infinite mass line
-    finite_fsum(masses, "sum of finite values")
+    # the passport's group total, which also rejects an overflowing bounded
+    # part rather than match it as an infinite mass line
+    total = ext_sum(masses).value
     cells: list[_Cell] = []
     m = 0.0
     for idx, comp in finite + unbounded:
@@ -146,14 +149,18 @@ def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[list[_Cell], f
                 dm = p.length * p.value
                 cells.append(_Cell(m, m + dm, idx, p.start, p.stop, p.value))
                 m += dm
-    return cells, m
+    return cells, m, total
 
 
-def _check_totals(a: float, b: float) -> None:
-    if math.isinf(a) and math.isinf(b):
-        return
-    if math.isinf(a) or math.isinf(b) or abs(a - b) > _TOTAL_RTOL * max(a, b):
+def _match_groups(
+    src: Sequence[tuple[int, Component]], dst: Sequence[tuple[int, Component]]
+) -> list[ComponentTransport]:
+    """The transport between two weight groups, if the passport calls their totals equal."""
+    src_cells, sm, src_total = _group_cells(src)
+    dst_cells, dm, dst_total = _group_cells(dst)
+    if not _same_measure(src_total, dst_total):
         raise LogSpaceError("no measure-preserving map")
+    return _match_mass_lines(src_cells, sm, dst_cells, dm)
 
 
 def _match_mass_lines(
@@ -163,21 +170,18 @@ def _match_mass_lines(
     cuts = {c.m0 for c in src_cells} | {c.m0 for c in dst_cells}
     if infinite:
         pts = sorted(cuts)
-        eps = _TOTAL_RTOL * (1.0 + pts[-1])
+        eps = _MEASURE_RTOL * (1.0 + pts[-1])
     else:
         total = min(src_total, dst_total)
-        eps = _TOTAL_RTOL * (1.0 + total)
+        eps = _MEASURE_RTOL * (1.0 + total)
         pts = sorted(m for m in cuts if m < total - eps)
     deduped = [pts[0]]
     for m in pts[1:]:
         if m - deduped[-1] > eps:
             deduped.append(m)
-    segments = list(zip(deduped, deduped[1:]))
-    segments.append((deduped[-1], math.inf if infinite else total))
+    segments = list(zip(deduped, deduped[1:] + [math.inf if infinite else total]))
 
-    entries: list[ComponentTransport] = []
-    run: list[AffinePiece] = []
-    run_pair: tuple[int, int] | None = None
+    runs: list[tuple[tuple[int, int], list[AffinePiece]]] = []  # per (src, dst) pair
     si = di = 0
     for m1, m2 in segments:
         # a cell with at most eps of mass left beyond m1 counts as exhausted;
@@ -194,35 +198,18 @@ def _match_mass_lines(
         slope = sc.dens / dc.dens
         piece = AffinePiece(p1, p2, slope, q1 - slope * p1, q1, q2)
         pair = (sc.comp, dc.comp)
-        if pair == run_pair:
-            prev = run[-1]
-            if (
-                prev.stop == piece.start
-                and prev.slope == piece.slope
-                and prev.offset == piece.offset
-            ):
-                run[-1] = AffinePiece(
-                    prev.start, piece.stop, prev.slope, prev.offset, prev.image_start, piece.image_stop
-                )
-            else:
-                run.append(piece)
+        if not runs or runs[-1][0] != pair:
+            runs.append((pair, [piece]))
+            continue
+        run = runs[-1][1]
+        prev = run[-1]
+        if prev.stop == piece.start and (prev.slope, prev.offset) == (piece.slope, piece.offset):
+            run[-1] = AffinePiece(
+                prev.start, piece.stop, prev.slope, prev.offset, prev.image_start, piece.image_stop
+            )
         else:
-            if run_pair is not None:
-                entries.append(ComponentTransport(run_pair[0], run_pair[1], tuple(run)))
-            run = [piece]
-            run_pair = pair
-    if run_pair is not None:
-        entries.append(ComponentTransport(run_pair[0], run_pair[1], tuple(run)))
-    return entries
-
-
-def _transport_pair(src: Component, dst: Component, si: int, di: int) -> list[ComponentTransport]:
-    if not (src.realizable and dst.realizable):
-        raise LogSpaceError("symbolic component")
-    _check_totals(src.measure().value, dst.measure().value)
-    src_cells, sm = _group_cells([(si, src)])
-    dst_cells, dm = _group_cells([(di, dst)])
-    return _match_mass_lines(src_cells, sm, dst_cells, dm)
+            run.append(piece)
+    return [ComponentTransport(s, d, tuple(run)) for (s, d), run in runs]
 
 
 def monotone_transport(src: Component, dst: Component) -> TransportMap:
@@ -237,7 +224,9 @@ def glue_transports(pairs: Sequence[tuple[Component, Component]]) -> TransportMa
         raise LogSpaceError("pairing incomplete")
     entries: list[ComponentTransport] = []
     for k, (src, dst) in enumerate(pairs):
-        entries.extend(_transport_pair(src, dst, k, k))
+        if not (src.realizable and dst.realizable):
+            raise LogSpaceError("symbolic component")
+        entries.extend(_match_groups([(k, src)], [(k, dst)]))
     return TransportMap(tuple(entries), len(pairs), len(pairs))
 
 
@@ -247,19 +236,15 @@ def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportM
     Within a group the two sides may split their mass over different component
     counts; the concatenated mass lines take care of the pairing.
     """
-    for sp in (src, dst):
-        if any(not c.realizable for c in sp.components):
-            raise LogSpaceError("symbolic component")
+    if not all(c.realizable for c in src.components + dst.components):
+        raise LogSpaceError("symbolic component")
     src_groups = _weight_groups(src)
     dst_groups = _weight_groups(dst)
     if src_groups.keys() != dst_groups.keys():
         raise LogSpaceError("no measure-preserving map")
     entries: list[ComponentTransport] = []
     for weight, items in src_groups.items():
-        src_cells, sm = _group_cells(items)
-        dst_cells, dm = _group_cells(dst_groups[weight])
-        _check_totals(sm, dm)
-        entries.extend(_match_mass_lines(src_cells, sm, dst_cells, dm))
+        entries.extend(_match_groups(items, dst_groups[weight]))
     return TransportMap(tuple(entries), len(src.components), len(dst.components))
 
 

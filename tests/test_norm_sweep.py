@@ -1,4 +1,4 @@
-"""The compiled-table norm and one-sweep measure kernels against per-piece slicing.
+"""The compiled-table norm and the indexed measure against per-piece slicing.
 
 The reference below refines the density, h1 and h2 afresh inside every step
 piece (O(P*D) per component) and sums each measure part over a fresh slice
@@ -148,5 +148,12 @@ def test_measure_matches_per_part_slice_sum_bit_for_bit(seed, max_components, ma
             i = unbounded[0]
             lo = space.components[i].carrier[0] + 5.0  # beyond the sampling window
             mset = MeasurableSet(mset.parts + ((i, lo, math.inf),))
-    got = measure(space, mset).value
-    assert got.hex() == reference_measure(space, mset).hex()
+    f = random_step_function(rng, space)
+    if tail:
+        f = _with_unbounded_tail(rng, space, f)
+    want = reference_measure(space, mset).hex()
+    # the first measure builds the space's density index, which the plain
+    # norm then shares; the second measure hits it
+    assert measure(space, mset).value.hex() == want
+    assert log_norm(f, space, EXTERNAL).value.hex() == reference_log_norm(f, space, EXTERNAL).hex()
+    assert measure(space, mset).value.hex() == want

@@ -18,6 +18,7 @@ from logspaces import (
     LogSpaceError,
     MeasureSpace,
     StepFunction,
+    StepPiece,
     add,
     constant_density,
     density,
@@ -66,6 +67,15 @@ class TestCanonicalForm:
         sym = MeasureSpace((Component(constant_density(0, 1), weight=2),))
         with pytest.raises(LogSpaceError, match="symbolic component"):
             step(sym, (0, 0.0, 0.5, 1))
+
+    def test_constructor_rejects_unsorted_pieces(self):
+        # the norm's fit check reads only the first start and the last stop
+        with pytest.raises(LogSpaceError, match="step function pieces must be disjoint"):
+            log_norm(StepFunction(((StepPiece(5, 6, 1), StepPiece(0, 3, 1)),)), interval_space(0, 10))
+
+    def test_constructor_rejects_a_piece_after_an_unbounded_one(self):
+        with pytest.raises(LogSpaceError, match="step function pieces must be disjoint"):
+            log_norm(StepFunction(((StepPiece(0, math.inf, 1), StepPiece(5, 6, 1)),)), interval_space(0, 10))
 
     def test_rejects_non_finite_coefficients(self):
         for coef in (math.nan, math.inf, -math.inf, complex(1, math.nan), complex(0, math.inf)):
@@ -173,7 +183,7 @@ class TestLogNorm:
 
 
 class TestCompiledCellTables:
-    """A space compiles its norm cells once per kind object and keeps two tables."""
+    """A space compiles its weighted norm cells once per kind object and keeps one such table."""
 
     def test_tables_follow_the_space_and_the_kind_object(self):
         a, b = interval_space(0, 1, 1.0), interval_space(0, 1, 3.0)
@@ -207,7 +217,7 @@ class TestCompiledCellTables:
         for _ in range(3):
             for k in (EXTERNAL, kind, External()):
                 log_norm(f, space, k)
-        assert compiled == [EXTERNAL, kind]
+        assert compiled == [kind]  # the plain norm uses the density index, which has no weights
 
     def test_norm_calls_leave_equality_hash_and_repr_alone(self):
         space = MeasureSpace((Component(density([(0.0, 1.0, 1.0), (1.0, 2.0, 2.0)])),))

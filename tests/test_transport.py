@@ -154,6 +154,97 @@ class TestSpaceTransport:
             transport_between_spaces(src, dst)
 
 
+class TestGroupTotalsAgreeWithTheDecision:
+    """A group total is the passport's, not the running sum of the mass line."""
+
+    @staticmethod
+    def _long_tail():
+        # 12,000 pieces of mass 1.1e-16 each vanish from a running sum at 1.0
+        xs = [1.0 + i * 1e-4 for i in range(12_001)]
+        spec = [(0.0, 1.0, 1.0)] + [(a, b, 1.1e-12) for a, b in zip(xs, xs[1:])]
+        return comp(spec)
+
+    def _verdicts(self, c, other):
+        src = MeasureSpace((c,))
+        decided = decide_isometric_external(build_passport(src), build_passport(other)).verdict
+        built = []
+        for construct in (
+            lambda: transport_between_spaces(src, other),
+            lambda: glue_transports([(c, other.components[0])]),
+        ):
+            try:
+                construct()
+                built.append(True)
+            except LogSpaceError as e:
+                assert str(e) == "no measure-preserving map"
+                built.append(False)
+        return [decided] + built
+
+    def test_all_reject_a_total_that_differs_only_beyond_the_running_sum(self):
+        assert self._verdicts(self._long_tail(), interval_space(0, 1)) == [False, False, False]
+
+    def test_all_accept_the_passport_total(self):
+        c = self._long_tail()
+        (m,) = build_passport(MeasureSpace((c,))).row_m.values
+        assert m != 1.0
+        assert self._verdicts(c, interval_space(0, 1, m)) == [True, True, True]
+
+
+def _merged_parts(mset):
+    """The parts of a set with touching parts of one component joined."""
+    out = []
+    for c, a, b in mset.parts:
+        if out and out[-1][0] == c and out[-1][2] == a:
+            out[-1][2] = b
+        else:
+            out.append([c, a, b])
+    return out
+
+
+def _with_tails(space, mset):
+    """mset plus an unbounded part on every unbounded carrier, beyond the sampled window."""
+    tails = [
+        (i, c.carrier[0] + 5.0, math.inf)
+        for i, c in enumerate(space.components)
+        if math.isinf(c.carrier[1])
+    ]
+    return MeasurableSet(mset.parts + tuple(tails))
+
+
+class TestReverseTransport:
+    """The reverse transport carries the image of a set back onto the set."""
+
+    @staticmethod
+    def _assert_round_trip(rng, src, forward, reverse, sets=50):
+        for _ in range(sets):
+            a = _with_tails(src, random_measurable_set(rng, src, max_intervals=4))
+            back = transport_set(reverse, transport_set(forward, a))
+            want, got = _merged_parts(a), _merged_parts(back)
+            assert [p[0] for p in got] == [p[0] for p in want]
+            for (_, x0, x1), (_, y0, y1) in zip(want, got):
+                for x, y in ((x0, y0), (x1, y1)):
+                    assert x == y or abs(x - y) <= 1e-9 * max(1.0, abs(x)), (want, got)
+
+    def test_whole_space_round_trip(self):
+        rng = random.Random(38)
+        for _ in range(40):
+            src, dst = random_equal_passport_pair(rng)
+            forward = transport_between_spaces(src, dst)
+            reverse = transport_between_spaces(dst, src)
+            self._assert_round_trip(rng, src, forward, reverse)
+            self._assert_round_trip(rng, dst, reverse, forward)
+
+    def test_glued_round_trip(self):
+        rng = random.Random(39)
+        for _ in range(40):
+            src, dst = random_matched_components_pair(rng)
+            pairs = list(zip(src.components, dst.components))
+            forward = glue_transports(pairs)
+            reverse = glue_transports([(d, s) for s, d in pairs])
+            self._assert_round_trip(rng, src, forward, reverse)
+            self._assert_round_trip(rng, dst, reverse, forward)
+
+
 class TestLift:
     def test_identity_map_keeps_function(self):
         s = interval_space(0, 1)
