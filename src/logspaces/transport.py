@@ -12,6 +12,14 @@ sums, are equal as passport measures (1e-12 relative), so the construction
 accepts exactly the groups the isometry decision does; the map itself
 follows the running sums of the two mass lines.
 
+A mass line is held flat, as parallel lists of cell masses, components,
+positions and densities.  One walk over the merged mass cuts places each
+cut on both lines inline and writes every affine piece once, through its
+slots; a touching segment with the same slope and offset extends the piece
+before it.  A slope or offset outside the float range (a density ratio
+that overflows or underflows, or an offset that overflows) is rejected as
+an overflow.
+
 On step functions the transport acts by ``lift`` (coefficients ride along,
 intervals move), and ``weighting_isometry`` divides by a density to move
 between the plain and the density-weighted norms.  ``verify_isometry`` is the
@@ -53,7 +61,7 @@ from .stepfunctions import (
 _COVER_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePiece:
     """y = offset + slope * x on [start, stop), landing on [image_start, image_stop)."""
 
@@ -77,6 +85,17 @@ class AffinePiece:
         if x == self.stop:
             return self.image_stop
         return self.offset + self.slope * x
+
+
+# the mass-line walk writes each piece through its slots, past __init__, so
+# that a piece it has checked is neither checked nor built a second time
+_new = object.__new__
+_set_start = AffinePiece.start.__set__
+_set_stop = AffinePiece.stop.__set__
+_set_slope = AffinePiece.slope.__set__
+_set_offset = AffinePiece.offset.__set__
+_set_image_start = AffinePiece.image_start.__set__
+_set_image_stop = AffinePiece.image_stop.__set__
 
 
 @dataclass(frozen=True)
@@ -104,31 +123,17 @@ class IsometryReport:
             raise LogSpaceError("deviation must be >= 0")
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """One density piece on the concatenated mass line of a weight group."""
-
-    m0: float
-    m1: float
-    comp: int
-    p0: float
-    p1: float
-    dens: float
-
-    def invert(self, m: float) -> float:
-        """Position with mass m inside this cell; clamps and snaps at the ends."""
-        if m <= self.m0:
-            return self.p0
-        if m >= self.m1:
-            return self.p1
-        return self.p0 + (m - self.m0) / self.dens
+# One weight group's concatenated mass line as parallel lists, one entry per
+# density piece: mass interval [m0, m1), component, position interval
+# [p0, p1) and density.
+_MassLine = tuple[list[float], list[float], list[int], list[float], list[float], list[float]]
 
 
-def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[list[_Cell], float, float]:
-    """Mass cells of one weight group: finite components first, one unbounded tail.
+def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[_MassLine, float, float]:
+    """The mass line of one weight group: finite components first, one unbounded tail.
 
-    Returns the cells, the mass line's end (its running sum), and the
-    group's total as the passport computes it, +inf for an unbounded group.
+    Returns the line, its end (the running sum), and the group's total as
+    the passport computes it, +inf for an unbounded group.
     """
     masses = [c.measure() for _, c in items]
     finite = [item for item, mass in zip(items, masses) if mass.is_finite]
@@ -138,78 +143,108 @@ def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[list[_Cell], f
     # the passport's group total, which also rejects an overflowing bounded
     # part rather than match it as an infinite mass line
     total = ext_sum(masses).value
-    cells: list[_Cell] = []
+    m0s: list[float] = []
+    m1s: list[float] = []
+    comps: list[int] = []
+    p0s: list[float] = []
+    p1s: list[float] = []
+    dens: list[float] = []
     m = 0.0
     for idx, comp in finite + unbounded:
         for p in comp.density.pieces:
-            if math.isinf(p.stop):
-                cells.append(_Cell(m, math.inf, idx, p.start, math.inf, p.value))
-                m = math.inf
-            else:
-                dm = p.length * p.value
-                cells.append(_Cell(m, m + dm, idx, p.start, p.stop, p.value))
-                m += dm
-    return cells, m, total
+            start, stop, value = p.start, p.stop, p.value
+            m0s.append(m)
+            m = math.inf if stop == math.inf else m + (stop - start) * value
+            m1s.append(m)
+            comps.append(idx)
+            p0s.append(start)
+            p1s.append(stop)
+            dens.append(value)
+    return (m0s, m1s, comps, p0s, p1s, dens), m, total
 
 
 def _match_groups(
     src: Sequence[tuple[int, Component]], dst: Sequence[tuple[int, Component]]
 ) -> list[ComponentTransport]:
     """The transport between two weight groups, if the passport calls their totals equal."""
-    src_cells, sm, src_total = _group_cells(src)
-    dst_cells, dm, dst_total = _group_cells(dst)
+    src_line, sm, src_total = _group_cells(src)
+    dst_line, dm, dst_total = _group_cells(dst)
     if not _same_measure(src_total, dst_total):
         raise LogSpaceError("no measure-preserving map")
-    return _match_mass_lines(src_cells, sm, dst_cells, dm)
+    return _match_mass_lines(src_line, sm, dst_line, dm)
 
 
 def _match_mass_lines(
-    src_cells: list[_Cell], src_total: float, dst_cells: list[_Cell], dst_total: float
+    src: _MassLine, src_end: float, dst: _MassLine, dst_end: float
 ) -> list[ComponentTransport]:
-    infinite = math.isinf(src_total)
-    cuts = {c.m0 for c in src_cells} | {c.m0 for c in dst_cells}
-    if infinite:
-        pts = sorted(cuts)
+    """Affine pieces matching equal mass on the two lines, grouped by component pair.
+
+    The mass cuts of both lines, closer than eps merged, split the lines into
+    segments; each segment maps the source cell it lies in onto the target
+    cell, and touching segments of one pair with one affine law are joined.
+    """
+    inf = math.inf
+    sm0, sm1, scomp, sp0, sp1, sdens = src
+    dm0, dm1, dcomp, dp0, dp1, ddens = dst
+    pts = sorted(sm0 + dm0)
+    if src_end == inf:
+        end = inf
         eps = _MEASURE_RTOL * (1.0 + pts[-1])
     else:
-        total = min(src_total, dst_total)
-        eps = _MEASURE_RTOL * (1.0 + total)
-        pts = sorted(m for m in cuts if m < total - eps)
-    deduped = [pts[0]]
+        end = min(src_end, dst_end)
+        eps = _MEASURE_RTOL * (1.0 + end)
+        pts = [m for m in pts if m < end - eps]
+    cuts = [pts[0]]
     for m in pts[1:]:
-        if m - deduped[-1] > eps:
-            deduped.append(m)
-    segments = list(zip(deduped, deduped[1:] + [math.inf if infinite else total]))
+        if m - cuts[-1] > eps:
+            cuts.append(m)
+    cuts.append(end)
 
-    runs: list[tuple[tuple[int, int], list[AffinePiece]]] = []  # per (src, dst) pair
+    entries: list[tuple[int, int, list[AffinePiece]]] = []  # one run per (src, dst) pair
+    last = None  # the run's last piece, which a touching segment of the same law extends
+    s_prev = d_prev = -1
+    s_last, d_last = len(sm0) - 1, len(dm0) - 1
     si = di = 0
-    for m1, m2 in segments:
-        # a cell with at most eps of mass left beyond m1 counts as exhausted;
-        # deduped cuts can sit one ulp before a genuine cell boundary
-        while si + 1 < len(src_cells) and src_cells[si].m1 <= m1 + eps:
+    for a, b in zip(cuts, cuts[1:]):
+        # a cell with at most eps of mass left beyond a counts as exhausted;
+        # merged cuts can sit one ulp before a genuine cell boundary
+        while si < s_last and sm1[si] <= a + eps:
             si += 1
-        while di + 1 < len(dst_cells) and dst_cells[di].m1 <= m1 + eps:
+        while di < d_last and dm1[di] <= a + eps:
             di += 1
-        sc, dc = src_cells[si], dst_cells[di]
-        p1, p2 = sc.invert(m1), sc.invert(m2)
-        q1, q2 = dc.invert(m1), dc.invert(m2)
+        # the positions of masses a and b in each cell, clamped and snapped to its ends
+        m0, m1, x0, x1, sd = sm0[si], sm1[si], sp0[si], sp1[si], sdens[si]
+        p1 = x0 if a <= m0 else x1 if a >= m1 else x0 + (a - m0) / sd
+        p2 = x0 if b <= m0 else x1 if b >= m1 else x0 + (b - m0) / sd
         if not p1 < p2:
             continue
-        slope = sc.dens / dc.dens
-        piece = AffinePiece(p1, p2, slope, q1 - slope * p1, q1, q2)
-        pair = (sc.comp, dc.comp)
-        if not runs or runs[-1][0] != pair:
-            runs.append((pair, [piece]))
-            continue
-        run = runs[-1][1]
-        prev = run[-1]
-        if prev.stop == piece.start and (prev.slope, prev.offset) == (piece.slope, piece.offset):
-            run[-1] = AffinePiece(
-                prev.start, piece.stop, prev.slope, prev.offset, prev.image_start, piece.image_stop
+        m0, m1, x0, x1, dd = dm0[di], dm1[di], dp0[di], dp1[di], ddens[di]
+        q1 = x0 if a <= m0 else x1 if a >= m1 else x0 + (a - m0) / dd
+        q2 = x0 if b <= m0 else x1 if b >= m1 else x0 + (b - m0) / dd
+        slope = sd / dd
+        offset = q1 - slope * p1
+        if not (0.0 < slope < inf and -inf < offset < inf):
+            raise LogSpaceError(
+                f"transport slope or offset overflows a float (slope {slope!r}, offset {offset!r})"
             )
-        else:
-            run.append(piece)
-    return [ComponentTransport(s, d, tuple(run)) for (s, d), run in runs]
+        sc, dc = scomp[si], dcomp[di]
+        if sc != s_prev or dc != d_prev:
+            s_prev, d_prev = sc, dc
+            run: list[AffinePiece] = []
+            entries.append((sc, dc, run))
+        elif last.stop == p1 and last.slope == slope and last.offset == offset:
+            _set_stop(last, p2)
+            _set_image_stop(last, q2)
+            continue
+        last = _new(AffinePiece)
+        _set_start(last, p1)
+        _set_stop(last, p2)
+        _set_slope(last, slope)
+        _set_offset(last, offset)
+        _set_image_start(last, q1)
+        _set_image_stop(last, q2)
+        run.append(last)
+    return [ComponentTransport(sc, dc, tuple(run)) for sc, dc, run in entries]
 
 
 def monotone_transport(src: Component, dst: Component) -> TransportMap:

@@ -162,3 +162,19 @@ def test_transport_passport_mismatch_exits_2(tmp_path):
     result = run_cli("transport", "--file", str(ws))
     assert result.returncode == 2
     assert "no measure-preserving map" in result.stderr
+
+
+def test_transport_slope_overflow_exits_2(tmp_path):
+    text = """{
+      "space":  [{"weight": 0, "carrier": [0, 1e-200],
+                  "density": [{"from": 0, "to": 1e-200, "value": 1e200}]}],
+      "space2": [{"weight": 0, "carrier": [0, 1e200],
+                  "density": [{"from": 0, "to": 1e200, "value": 1e-200}]}]
+    }"""
+    ws = tmp_path / "overflow.json"
+    ws.write_text(text)
+    result = run_cli("transport", "--file", str(ws))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "transport slope or offset overflows a float" in result.stderr
+    assert "Traceback" not in result.stderr

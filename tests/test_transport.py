@@ -153,6 +153,22 @@ class TestSpaceTransport:
         with pytest.raises(LogSpaceError, match="pairing incomplete"):
             transport_between_spaces(src, dst)
 
+    def test_slope_that_overflows_is_rejected_as_an_overflow(self):
+        # density ratio 1e400: the slope is inf and its offset 0 - inf * 0 is NaN
+        src, dst = interval_space(0, 1e-200, 1e200), interval_space(0, 1e200, 1e-200)
+        with pytest.raises(LogSpaceError, match="transport slope or offset overflows a float"):
+            transport_between_spaces(src, dst)
+        with pytest.raises(LogSpaceError, match="transport slope or offset overflows a float"):
+            glue_transports([(src.components[0], dst.components[0])])
+
+    def test_slope_that_underflows_is_rejected_as_an_overflow(self):
+        # density ratio 1e-400 rounds to a zero slope, whose inverse overflows
+        src, dst = interval_space(0, 1e200, 1e-200), interval_space(0, 1e-200, 1e200)
+        with pytest.raises(LogSpaceError, match="transport slope or offset overflows a float"):
+            transport_between_spaces(src, dst)
+        with pytest.raises(LogSpaceError, match="transport slope or offset overflows a float"):
+            glue_transports([(src.components[0], dst.components[0])])
+
 
 class TestGroupTotalsAgreeWithTheDecision:
     """A group total is the passport's, not the running sum of the mass line."""
