@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._value import Value
 from .errors import LogSpaceError
 
 
-@dataclass(frozen=True, order=True)
-class ExtendedReal:
+class ExtendedReal(Value):
     """A value in [0, +inf].
 
     Finite values are non-negative floats; infinity is ``value == math.inf``.
@@ -41,6 +40,20 @@ class ExtendedReal:
     def __repr__(self) -> str:
         return "ExtendedReal(inf)" if not self.is_finite else f"ExtendedReal({self.value!r})"
 
+    # ordered only against another ExtendedReal, so that comparing with a
+    # bare float raises TypeError
+    def __lt__(self, other):
+        return self.value < other.value if other.__class__ is ExtendedReal else NotImplemented
+
+    def __le__(self, other):
+        return self.value <= other.value if other.__class__ is ExtendedReal else NotImplemented
+
+    def __gt__(self, other):
+        return self.value > other.value if other.__class__ is ExtendedReal else NotImplemented
+
+    def __ge__(self, other):
+        return self.value >= other.value if other.__class__ is ExtendedReal else NotImplemented
+
 
 INF = ExtendedReal(math.inf)
 
@@ -65,15 +78,22 @@ def ext_sum(values: Iterable[ExtendedReal]) -> ExtendedReal:
             parts.append(v.value)
         else:
             infinite = True
-    total = finite_fsum(parts, "sum of finite values")
-    return INF if infinite else ExtendedReal(total)
+    total = ext_fsum(parts, "sum of finite values")
+    return INF if infinite else total
 
 
-def finite_fsum(terms: Iterable[float], what: str) -> float:
-    """``math.fsum`` of terms that stand for a finite quantity.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def ext_fsum(terms: Iterable[float], what: str) -> ExtendedReal:
+    """``math.fsum`` of terms that are all >= 0 and stand for a finite quantity.
 
     A sum that exceeds the float range (or an infinite term) is rejected with
-    a LogSpaceError naming `what`, so it is never reported as infinite.
+    a LogSpaceError naming `what`, so it is never reported as infinite.  What
+    is left is a finite float >= 0, so it is written into the result past the
+    constructor's checks; callers pass masses and norm terms, which are >= 0
+    by construction.
     """
     try:
         total = math.fsum(terms)
@@ -81,4 +101,6 @@ def finite_fsum(terms: Iterable[float], what: str) -> float:
         total = math.inf
     if not math.isfinite(total):
         raise LogSpaceError(f"{what} overflows a float")
-    return total
+    result = _new(ExtendedReal)
+    _set(result, "value", total)
+    return result

@@ -14,21 +14,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._value import Value
 from .errors import LogSpaceError
-from .extreal import INF, ExtendedReal, ext_sum, finite_fsum
+from .extreal import INF, ExtendedReal, ext_fsum, ext_sum
 
 WeightLabel = int
 
 
 # slotted: pieces are the most numerous objects, and a slot-less instance
 # is about 40 bytes larger
-@dataclass(frozen=True, slots=True)
-class IntervalPiece:
+class IntervalPiece(Value):
     """One constant piece, half-open [start, stop); stop may be math.inf."""
 
+    __slots__ = ("start", "stop", "value")
     start: float
     stop: float
     value: float
@@ -62,8 +62,7 @@ def _check_contiguous(pieces: Sequence[IntervalPiece], what: str) -> None:
             )
 
 
-@dataclass(frozen=True)
-class PiecewiseDensity:
+class PiecewiseDensity(Value):
     """Strictly positive piecewise-constant function covering one carrier exactly."""
 
     pieces: tuple[IntervalPiece, ...]
@@ -91,11 +90,9 @@ class PiecewiseDensity:
         """
         if math.isinf(self.stop):
             return INF
-        return ExtendedReal(
-            finite_fsum(
-                [p.length * p.value for p in self.pieces],
-                f"mass of the bounded carrier [{self.start}, {self.stop})",
-            )
+        return ext_fsum(
+            [p.length * p.value for p in self.pieces],
+            f"mass of the bounded carrier [{self.start}, {self.stop})",
         )
 
 
@@ -108,8 +105,7 @@ def constant_density(start: float, stop: float, value: float = 1.0) -> Piecewise
     return PiecewiseDensity((IntervalPiece(start, stop, value),))
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Value):
     """A carrier interval with its density and weight label.
 
     weight 0 is realizable; any weight > 0 marks a symbolic component that
@@ -135,8 +131,7 @@ class Component:
         return self.density.total()
 
 
-@dataclass(frozen=True)
-class MeasureSpace:
+class MeasureSpace(Value):
     """Disjoint union of components; each component is its own coordinate axis.
 
     A space keeps its density index (``_density_index``) and one weighted
@@ -172,8 +167,7 @@ def interval_space(start: float, stop: float, dens: float = 1.0) -> MeasureSpace
     return MeasureSpace((Component(constant_density(start, stop, dens)),))
 
 
-@dataclass(frozen=True)
-class MeasurableSet:
+class MeasurableSet(Value):
     """Finite union of half-open subintervals, tagged by component index.
 
     parts are (component, start, stop) triples; they are sorted at
@@ -257,7 +251,7 @@ def _density_index(space: MeasureSpace) -> _CellTable:
     Set measures and the plain norm bisect into it.  It is never mutated
     once stored, so concurrent callers at worst build equal indexes twice.
     """
-    index = space.__dict__.get("_index")  # the dataclass is frozen; its fields are untouched
+    index = space.__dict__.get("_index")  # the space is frozen; its fields are untouched
     if index is None:
         index = []
         for comp in space.components:
@@ -293,7 +287,7 @@ def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
                 break
             terms.append(((hi if hi < b else b) - (lo if lo > a else a)) * d)
             k += 1
-    return ExtendedReal(finite_fsum(terms, "mass of a bounded set"))
+    return ext_fsum(terms, "mass of a bounded set")
 
 
 def total_measure(space: MeasureSpace) -> ExtendedReal:
@@ -385,4 +379,4 @@ def integrate_piecewise(
             if math.isinf(b):
                 return INF
             terms.append((b - a) * d * f)
-    return ExtendedReal(finite_fsum(terms, "integral over a bounded support"))
+    return ext_fsum(terms, "integral over a bounded support")

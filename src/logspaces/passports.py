@@ -15,17 +15,16 @@ an in-memory space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
+from ._value import Value
 from .errors import LogSpaceError
 from .extreal import ext_sum
 from .measure import MeasureSpace, _weight_groups
 from .render import format_real
 
 
-@dataclass(frozen=True)
-class FiniteList:
+class FiniteList(Value):
     """Explicit finite-measure row, aligned index-by-index with row_u."""
 
     values: tuple[float, ...]
@@ -46,8 +45,7 @@ class FiniteList:
 _CLOSED_FORM_PARAMS = {"CONST": ("c",), "LINEAR": ("a", "b"), "RECIP": ("a",), "GEOM": ("a", "r")}
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Value):
     """Symbolic measure sequence mu_i for i >= 1.
 
     CONST(c): c          LINEAR(a, b): a*i + b (a > 0)
@@ -138,8 +136,7 @@ def _strictly_increasing(row: tuple[int, ...]) -> bool:
     return all(x < y for x, y in zip(row, row[1:]))
 
 
-@dataclass(frozen=True)
-class Passport:
+class Passport(Value):
     """Three-row classification matrix.
 
     row_u is None when row_m is a ClosedForm: the second row is then the
@@ -167,8 +164,7 @@ class Passport:
             raise LogSpaceError("third row length must match the second row")
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Value):
     verdict: bool
     rule: str
     witness: str

@@ -25,11 +25,11 @@ import cmath
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ._value import Value
 from .errors import LogSpaceError
-from .extreal import INF, ExtendedReal, finite_fsum
+from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
     MeasureSpace,
     PiecewiseDensity,
@@ -55,8 +55,8 @@ def _bad_piece(start: float, stop: float, coef: complex) -> LogSpaceError:
 
 # slotted: pieces are the most numerous objects, and a slot-less instance
 # is about 40 bytes larger
-@dataclass(frozen=True, slots=True)
-class StepPiece:
+class StepPiece(Value):
+    __slots__ = ("start", "stop", "coef")
     start: float
     stop: float
     coef: complex
@@ -127,8 +127,7 @@ def _wrap(pieces: tuple[tuple[StepPiece, ...], ...]) -> "StepFunction":
     return f
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(Value):
     """Complex simple function; one canonical piece tuple per component.
 
     The constructor checks only that pieces are sorted and disjoint.
@@ -226,8 +225,7 @@ class NormKind:
     """Selects which of the three log-norms to evaluate."""
 
 
-@dataclass(frozen=True)
-class External(NormKind):
+class External(NormKind, Value):
     pass
 
 
@@ -240,16 +238,14 @@ def _as_space_density(h) -> SpaceDensity:
     return tuple(h)
 
 
-@dataclass(frozen=True)
-class Internal(NormKind):
+class Internal(NormKind, Value):
     h: SpaceDensity
 
     def __post_init__(self):
         object.__setattr__(self, "h", _as_space_density(self.h))
 
 
-@dataclass(frozen=True)
-class Generalized(NormKind):
+class Generalized(NormKind, Value):
     h1: SpaceDensity
     h2: SpaceDensity
 
@@ -303,7 +299,7 @@ def _cell_table(space: MeasureSpace, kind: NormKind) -> _CellTable:
     """
     if isinstance(kind, External):
         return _density_index(space)
-    stored = space.__dict__  # the dataclass is frozen; its fields are untouched
+    stored = space.__dict__  # the space is frozen; its fields are untouched
     slot = stored.get("_kind_cells")
     if slot is None or slot[0] is not kind:
         h1, h2 = _kind_weights(space, kind)
@@ -372,7 +368,7 @@ def log_norm(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) ->
     terms = _norm_terms(f, space, kind)
     if terms is None:
         return INF
-    return ExtendedReal(finite_fsum(terms, "norm of a bounded support"))
+    return ext_fsum(terms, "norm of a bounded support")
 
 
 def is_member(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) -> bool:

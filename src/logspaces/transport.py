@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
+from ._value import Value
 from .errors import LogSpaceError
 from .extreal import ExtendedReal, ext_sum
 from .measure import (
@@ -61,10 +61,10 @@ from .stepfunctions import (
 _COVER_RTOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class AffinePiece:
+class AffinePiece(Value):
     """y = offset + slope * x on [start, stop), landing on [image_start, image_stop)."""
 
+    __slots__ = ("start", "stop", "slope", "offset", "image_start", "image_stop")
     start: float
     stop: float
     slope: float
@@ -98,22 +98,19 @@ _set_image_start = AffinePiece.image_start.__set__
 _set_image_stop = AffinePiece.image_stop.__set__
 
 
-@dataclass(frozen=True)
-class ComponentTransport:
+class ComponentTransport(Value):
     src: int
     dst: int
     pieces: tuple[AffinePiece, ...]
 
 
-@dataclass(frozen=True)
-class TransportMap:
+class TransportMap(Value):
     entries: tuple[ComponentTransport, ...]
     src_components: int = 1
     dst_components: int = 1
 
 
-@dataclass(frozen=True)
-class IsometryReport:
+class IsometryReport(Value):
     samples: int
     max_abs_deviation: float
     worst_case: str
@@ -166,9 +163,15 @@ def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[_MassLine, flo
 def _match_groups(
     src: Sequence[tuple[int, Component]], dst: Sequence[tuple[int, Component]]
 ) -> list[ComponentTransport]:
-    """The transport between two weight groups, if the passport calls their totals equal."""
+    """The transport between two weight groups, if the passport calls their totals equal.
+
+    A total that underflows to 0 is rejected as the passport rejects it.
+    """
     src_line, sm, src_total = _group_cells(src)
     dst_line, dm, dst_total = _group_cells(dst)
+    for total in (src_total, dst_total):
+        if not total > 0.0:
+            raise LogSpaceError(f"finite measures must be positive and finite, got {total!r}")
     if not _same_measure(src_total, dst_total):
         raise LogSpaceError("no measure-preserving map")
     return _match_mass_lines(src_line, sm, dst_line, dm)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .errors import LogSpaceError, WorkspaceError
 from .measure import (
     Component,
@@ -25,13 +25,20 @@ from .stepfunctions import StepFunction
 _TOP_KEYS = {"space", "space2", "functions", "densities", "passports"}
 
 
-@dataclass
-class Workspace:
+class Workspace(Value, frozen=False):
+    """Named spaces, functions, densities and passports; mutable, so unhashable."""
+
     space: MeasureSpace | None = None
     space2: MeasureSpace | None = None
-    functions: dict[str, StepFunction] = field(default_factory=dict)
-    densities: dict[str, SpaceDensity] = field(default_factory=dict)
-    passports: dict[str, Passport] = field(default_factory=dict)
+    functions: dict[str, StepFunction] = None
+    densities: dict[str, SpaceDensity] = None
+    passports: dict[str, Passport] = None
+
+    def __post_init__(self):
+        # a fresh table per workspace for each one not given
+        for name in ("functions", "densities", "passports"):
+            if getattr(self, name) is None:
+                setattr(self, name, {})
 
 
 def _fail(path: str, msg: str):

@@ -178,3 +178,19 @@ def test_transport_slope_overflow_exits_2(tmp_path):
     assert result.stdout == ""
     assert "transport slope or offset overflows a float" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_transport_of_an_underflowing_mass_exits_2(tmp_path):
+    text = """{
+      "space":  [{"weight": 0, "carrier": [0, 1e-200],
+                  "density": [{"from": 0, "to": 1e-200, "value": 1e-200}]}],
+      "space2": [{"weight": 0, "carrier": [0, 1e-200],
+                  "density": [{"from": 0, "to": 1e-200, "value": 1e-200}]}]
+    }"""
+    ws = tmp_path / "underflow.json"
+    ws.write_text(text)
+    for command in ("transport", "passport"):
+        result = run_cli(command, "--file", str(ws))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "finite measures must be positive and finite, got 0.0\n"

@@ -4,7 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logspaces import INF, ExtendedReal, LogSpaceError, ext_sum, finite
+from logspaces import (
+    INF,
+    ExtendedReal,
+    External,
+    Generalized,
+    Internal,
+    IntervalPiece,
+    LogSpaceError,
+    MeasurableSet,
+    StepFunction,
+    constant_density,
+    ext_sum,
+    finite,
+    integrate_piecewise,
+    interval_space,
+    log_norm,
+    measure,
+    total_measure,
+)
 
 nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 
@@ -49,3 +67,25 @@ def test_ext_sum_compensated():
 def test_ext_sum_rejects_overflow_next_to_infinity():
     with pytest.raises(LogSpaceError, match="sum of finite values overflows"):
         ext_sum([ExtendedReal(1e308), INF, ExtendedReal(1e308)])
+
+
+
+def test_sums_are_returned_without_a_second_check(monkeypatch):
+    # norms, measures and sums of extended reals write their result
+    # directly: a finite sum of terms >= 0 needs no constructor check
+    space = interval_space(0, 2, 0.5)
+    f = StepFunction.from_pieces(space, [(0, 0.0, 1.0, 2), (0, 1.5, 2.0, 3j)])
+    h = constant_density(0, 2, 3)
+    kinds = [External(), Internal(h), Generalized(h, h)]
+    mset = MeasurableSet(((0, 0.25, 1.75),))
+    integrand = [(IntervalPiece(0, 2, 4),)]
+    parts = [finite(1.0), finite(2.5)]
+    checked = []
+    post_init = ExtendedReal.__post_init__
+    monkeypatch.setattr(ExtendedReal, "__post_init__", lambda e: checked.append(e) or post_init(e))
+    norms = [log_norm(f, space, kind) for kind in kinds]
+    sums = [measure(space, mset), integrate_piecewise(space, integrand)]
+    sums += [space.components[0].measure(), total_measure(space), ext_sum(parts)]
+    assert checked == []
+    assert [s.value for s in sums] == [0.75, 4.0, 1.0, 1.0, 3.5]
+    assert all(type(n) is ExtendedReal and n.value > 0.0 for n in norms)

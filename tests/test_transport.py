@@ -205,6 +205,18 @@ class TestGroupTotalsAgreeWithTheDecision:
         assert m != 1.0
         assert self._verdicts(c, interval_space(0, 1, m)) == [True, True, True]
 
+    def test_all_reject_a_group_whose_mass_underflows(self):
+        s = interval_space(0, 1e-200, 1e-200)  # mass 1e-400 rounds to 0
+        message = "finite measures must be positive and finite, got 0.0"
+        for construct in (
+            lambda: build_passport(s),
+            lambda: transport_between_spaces(s, s),
+            lambda: glue_transports([(s.components[0], s.components[0])]),
+        ):
+            with pytest.raises(LogSpaceError) as err:
+                construct()
+            assert str(err.value) == message
+
 
 def _merged_parts(mset):
     """The parts of a set with touching parts of one component joined."""
