@@ -192,10 +192,10 @@ def _match_mass_lines(
     pts = sorted(sm0 + dm0)
     if src_end == inf:
         end = inf
-        eps = _MEASURE_RTOL * (1.0 + pts[-1])
+        eps = _MEASURE_RTOL * pts[-1]
     else:
         end = min(src_end, dst_end)
-        eps = _MEASURE_RTOL * (1.0 + end)
+        eps = _MEASURE_RTOL * end
         pts = [m for m in pts if m < end - eps]
     cuts = [pts[0]]
     for m in pts[1:]:

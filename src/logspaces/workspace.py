@@ -1,8 +1,8 @@
 """JSON workspace files: spaces, functions, densities and passports by name.
 
 A workspace is a single JSON document.  Unbounded endpoints are written as
-the string "inf".  Parsing is all-or-nothing: any invalid field raises a
-WorkspaceError whose message names the offending path.
+the string "inf".  Parsing is all-or-nothing: any invalid, unknown or
+duplicate field raises a WorkspaceError whose message names its path.
 """
 
 from __future__ import annotations
@@ -45,21 +45,39 @@ def _fail(path: str, msg: str):
     raise WorkspaceError(path, msg)
 
 
-def _number(obj, path: str, allow_inf: bool = False) -> float:
-    if allow_inf and obj == "inf":
-        return math.inf
-    kinds = 'a number or "inf"' if allow_inf else "a number"
+def _at(path: str, make, *args, prefix: str = ""):
+    """make(*args), with a LogSpaceError re-raised as a WorkspaceError at path."""
+    try:
+        return make(*args)
+    except LogSpaceError as e:
+        raise WorkspaceError(path, f"{prefix}{e}") from e
+
+
+def _number(obj, path: str, kinds: str = "a number") -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         _fail(path, f"expected {kinds}, got {obj!r}")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:
+        _fail(path, "expected a finite number, got an integer too large for a float")
     if math.isnan(v) or math.isinf(v):
         _fail(path, f"expected a finite number, got {obj!r}")
     return v
 
 
+def _stop(obj, path: str) -> float:
+    return math.inf if obj == "inf" else _number(obj, path, 'a number or "inf"')
+
+
 def _int(obj, path: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         _fail(path, f"expected an integer, got {obj!r}")
+    return obj
+
+
+def _kind(obj, path: str) -> str:
+    if not isinstance(obj, str):
+        _fail(path, "expected a closed-form kind string")
     return obj
 
 
@@ -75,148 +93,125 @@ def _array(obj, path: str) -> list:
     return obj
 
 
-def _parse_component(obj, path: str) -> Component:
-    obj = _object(obj, path)
-    for key in obj:
-        if key not in {"weight", "carrier", "density"}:
+def _each(read):
+    """A reader of an array that reads each item with read and returns a tuple."""
+    return lambda obj, path: tuple(read(v, f"{path}[{i}]") for i, v in enumerate(_array(obj, path)))
+
+
+def _fields(obj, path: str, spec: dict) -> list:
+    """Object obj's field values in spec order; spec maps each name to (reader, default)."""
+    for key in _object(obj, path):
+        if key not in spec:
             _fail(f"{path}.{key}", "unknown field")
-    weight = _int(obj.get("weight", 0), f"{path}.weight")
-    carrier = _array(obj.get("carrier"), f"{path}.carrier")
-    if len(carrier) != 2:
-        _fail(f"{path}.carrier", "expected [from, to]")
-    lo = _number(carrier[0], f"{path}.carrier[0]")
-    hi = _number(carrier[1], f"{path}.carrier[1]", allow_inf=True)
-    pieces = []
-    for i, p in enumerate(_array(obj.get("density"), f"{path}.density")):
-        p = _object(p, f"{path}.density[{i}]")
-        a = _number(p.get("from"), f"{path}.density[{i}].from")
-        b = _number(p.get("to"), f"{path}.density[{i}].to", allow_inf=True)
-        v = _number(p.get("value"), f"{path}.density[{i}].value")
-        try:
-            pieces.append(IntervalPiece(a, b, v))
-        except LogSpaceError as e:
-            _fail(f"{path}.density[{i}]", str(e))
-    try:
-        dens = PiecewiseDensity(tuple(pieces))
-        comp = Component(dens, weight)
-    except LogSpaceError as e:
-        _fail(f"{path}.density", str(e))
-    if (dens.start, dens.stop) != (lo, hi):
-        _fail(f"{path}.density", "pieces must cover the carrier exactly")
+    return [read(obj.get(key, default), f"{path}.{key}") for key, (read, default) in spec.items()]
+
+
+def _carrier(obj, path: str) -> tuple[float, float]:
+    if len(_array(obj, path)) != 2:
+        _fail(path, "expected [from, to]")
+    return _number(obj[0], f"{path}[0]"), _stop(obj[1], f"{path}[1]")
+
+
+_ENDS = {"from": (_number, None), "to": (_stop, None)}
+_PIECE = {**_ENDS, "value": (_number, None)}
+
+
+def _piece(obj, path: str) -> IntervalPiece:
+    return _at(path, IntervalPiece, *_fields(obj, path, _PIECE))
+
+
+def _parse_component(obj, path: str) -> Component:
+    spec = {"weight": (_int, 0), "carrier": (_carrier, None), "density": (_each(_piece), None)}
+    weight, carrier, pieces = _fields(obj, path, spec)
+    at = f"{path}.density"
+    comp = _at(at, Component, _at(at, PiecewiseDensity, pieces), weight)
+    if comp.carrier != carrier:
+        _fail(at, "pieces must cover the carrier exactly")
     return comp
 
 
-def _parse_space(obj, path: str) -> MeasureSpace:
-    comps = [_parse_component(c, f"{path}[{i}]") for i, c in enumerate(_array(obj, path))]
-    try:
-        return MeasureSpace(tuple(comps))
-    except LogSpaceError as e:
-        _fail(path, str(e))
+def _function_row(obj, path: str) -> tuple[int, float, float, complex]:
+    spec = {"component": (_int, 0), **_ENDS, "re": (_number, 0.0), "im": (_number, 0.0)}
+    comp, a, b, re, im = _fields(obj, path, spec)
+    return comp, a, b, complex(re, im)
 
 
 def _parse_function(obj, path: str, space: MeasureSpace | None) -> StepFunction:
     if space is None:
         _fail(path, 'workspace has no "space" to define functions on')
-    specs = []
-    for i, p in enumerate(_array(obj, path)):
-        p = _object(p, f"{path}[{i}]")
-        for key in p:
-            if key not in {"component", "from", "to", "re", "im"}:
-                _fail(f"{path}[{i}].{key}", "unknown field")
-        comp = _int(p.get("component", 0), f"{path}[{i}].component")
-        a = _number(p.get("from"), f"{path}[{i}].from")
-        b = _number(p.get("to"), f"{path}[{i}].to", allow_inf=True)
-        re = _number(p.get("re", 0.0), f"{path}[{i}].re")
-        im = _number(p.get("im", 0.0), f"{path}[{i}].im")
-        specs.append((comp, a, b, complex(re, im)))
-    try:
-        return StepFunction.from_pieces(space, specs)
-    except LogSpaceError as e:
-        _fail(path, str(e))
+    return _at(path, StepFunction.from_pieces, space, _each(_function_row)(obj, path))
 
 
 def _parse_density(obj, path: str, space: MeasureSpace | None) -> SpaceDensity:
     if space is None:
         _fail(path, 'workspace has no "space" to define densities on')
-    per: list[list[IntervalPiece]] = [[] for _ in space.components]
+    n = len(space.components)
+
+    def index(k, at: str) -> int:
+        if not 0 <= _int(k, at) < n:
+            _fail(at, f"component index {k} out of range")
+        return k
+
+    per: list[list[IntervalPiece]] = [[] for _ in range(n)]
     for i, p in enumerate(_array(obj, path)):
-        p = _object(p, f"{path}[{i}]")
-        comp = _int(p.get("component", 0), f"{path}[{i}].component")
-        if not 0 <= comp < len(space.components):
-            _fail(f"{path}[{i}].component", f"component index {comp} out of range")
-        a = _number(p.get("from"), f"{path}[{i}].from")
-        b = _number(p.get("to"), f"{path}[{i}].to", allow_inf=True)
-        v = _number(p.get("value"), f"{path}[{i}].value")
-        try:
-            per[comp].append(IntervalPiece(a, b, v))
-        except LogSpaceError as e:
-            _fail(f"{path}[{i}]", str(e))
+        k, a, b, v = _fields(p, f"{path}[{i}]", {"component": (index, 0), **_PIECE})
+        per[k].append(_at(f"{path}[{i}]", IntervalPiece, a, b, v))
     out = []
-    for comp_index, (component, pieces) in enumerate(zip(space.components, per)):
-        try:
-            dens = PiecewiseDensity(tuple(sorted(pieces, key=lambda q: q.start)))
-            if (dens.start, dens.stop) != component.carrier:
-                raise LogSpaceError("pieces must cover the component carrier exactly")
-            out.append(dens)
-        except LogSpaceError as e:
-            _fail(path, f"component {comp_index}: {e}")
+    for k, (comp, pieces) in enumerate(zip(space.components, per)):
+        pieces = tuple(sorted(pieces, key=lambda q: q.start))
+        dens = _at(path, PiecewiseDensity, pieces, prefix=f"component {k}: ")
+        if (dens.start, dens.stop) != comp.carrier:
+            _fail(path, f"component {k}: pieces must cover the component carrier exactly")
+        out.append(dens)
     return tuple(out)
 
 
 def _parse_measure_seq(obj, path: str):
     if isinstance(obj, list):
-        values = tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(obj))
-        try:
-            return FiniteList(values)
-        except LogSpaceError as e:
-            _fail(path, str(e))
-    obj = _object(obj, path)
-    kind = obj.get("kind")
-    if not isinstance(kind, str):
-        _fail(f"{path}.kind", "expected a closed-form kind string")
-    params = tuple(
-        _number(v, f"{path}.params[{i}]") for i, v in enumerate(_array(obj.get("params"), f"{path}.params"))
-    )
-    try:
-        return ClosedForm(kind, params)
-    except LogSpaceError as e:
-        _fail(path, str(e))
+        return _at(path, FiniteList, _each(_number)(obj, path))
+    spec = {"kind": (_kind, None), "params": (_each(_number), None)}
+    return _at(path, ClosedForm, *_fields(obj, path, spec))
 
 
 def _parse_passport(obj, path: str) -> Passport:
-    obj = _object(obj, path)
-    for key in obj:
-        if key not in {"s", "u", "m"}:
-            _fail(f"{path}.{key}", "unknown field")
-    row_s = tuple(_int(w, f"{path}.s[{i}]") for i, w in enumerate(_array(obj.get("s", []), f"{path}.s")))
-    row_m = _parse_measure_seq(obj.get("m", []), f"{path}.m")
-    u_raw = obj.get("u")
-    if isinstance(row_m, ClosedForm):
-        if u_raw not in (None, []):
-            _fail(f"{path}.u", "closed-form third row requires omitting u (implicit ascending labels)")
-        row_u = None
-    else:
-        row_u = tuple(_int(w, f"{path}.u[{i}]") for i, w in enumerate(_array(u_raw if u_raw is not None else [], f"{path}.u")))
-    try:
-        return Passport(row_s, row_u, row_m)
-    except LogSpaceError as e:
-        _fail(path, str(e))
+    # u is kept raw and read after m: a closed-form m requires omitting it
+    spec = {"s": (_each(_int), []), "m": (_parse_measure_seq, []), "u": (lambda u, _: u, None)}
+    row_s, row_m, u = _fields(obj, path, spec)
+    closed = isinstance(row_m, ClosedForm)
+    if closed and u not in (None, []):
+        _fail(f"{path}.u", "closed-form third row requires omitting u (implicit ascending labels)")
+    row_u = None if closed else _each(_int)([] if u is None else u, f"{path}.u")
+    return _at(path, Passport, row_s, row_u, row_m)
+
+
+def _unique(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice is rejected."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        _fail(next(key for i, key in enumerate(keys) if key in keys[:i]), "duplicate key")
+    return obj
 
 
 def parse_workspace(text: str) -> Workspace:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        return _workspace(_object(json.loads(text, object_pairs_hook=_unique), "$"))
+    except WorkspaceError:  # from a reader, _at or the duplicate-key check
+        raise
+    except ValueError as e:  # from the decoder: bad syntax, or an integer past the digit limit
         raise WorkspaceError("", f"invalid JSON: {e}") from e
-    doc = _object(doc, "$")
+    except RecursionError as e:  # in the decoder, or in the repr of a value in a message
+        raise WorkspaceError("", f"nested too deeply: {e}") from e
+
+
+def _workspace(doc: dict) -> Workspace:
     for key in doc:
         if key not in _TOP_KEYS:
             _fail(key, "unknown top-level key")
     ws = Workspace()
-    if "space" in doc:
-        ws.space = _parse_space(doc["space"], "space")
-    if "space2" in doc:
-        ws.space2 = _parse_space(doc["space2"], "space2")
+    for key in ("space", "space2"):
+        if key in doc:
+            setattr(ws, key, _at(key, MeasureSpace, _each(_parse_component)(doc[key], key)))
     for name, obj in _object(doc.get("functions", {}), "functions").items():
         ws.functions[name] = _parse_function(obj, f"functions.{name}", ws.space)
     for name, obj in _object(doc.get("densities", {}), "densities").items():
@@ -228,7 +223,11 @@ def parse_workspace(text: str) -> Workspace:
 
 def load_workspace(path) -> Workspace:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_workspace(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise WorkspaceError("", f"not a UTF-8 file: {e}") from e
+    return parse_workspace(text)
 
 
 def _endpoint(x: float):

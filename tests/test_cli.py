@@ -194,3 +194,29 @@ def test_transport_of_an_underflowing_mass_exits_2(tmp_path):
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "finite measures must be positive and finite, got 0.0\n"
+
+
+_ONE_PIECE = '{"space": [{"weight": 0, "carrier": [0, 1], "density": [{"from": 0, "to": 1, "value": %s}]}]}'
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (
+            (_ONE_PIECE % ("1" + "0" * 400)).encode(),
+            "space[0].density[0].value: expected a finite number, got an integer too large for a float\n",
+        ),
+        ((_ONE_PIECE % ("1" + "0" * 5000)).encode(), "invalid JSON: Exceeds the limit"),
+        (b"[" * 200_000, "nested too deeply: maximum recursion depth exceeded"),
+        (b'{"space": [], "note": "caf\xe9"}', "not a UTF-8 file: 'utf-8' codec can't decode byte 0xe9"),
+    ],
+    ids=["400-digit-number", "5000-digit-literal", "deep-nesting", "not-utf8"],
+)
+def test_malformed_file_exits_2_with_its_cause(tmp_path, content, message):
+    ws = tmp_path / "malformed.json"
+    ws.write_bytes(content)
+    result = run_cli("passport", "--file", str(ws))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(message)
+    assert "Traceback" not in result.stderr

@@ -218,6 +218,24 @@ class TestGroupTotalsAgreeWithTheDecision:
             assert str(err.value) == message
 
 
+class TestLightGroups:
+    """A group's mass cuts merge by the passport's relative test, so a light group maps whole."""
+
+    def test_one_piece_group_of_mass_1e_12_maps_onto_itself(self):
+        s = interval_space(0, 1e-6, 1e-6)
+        t = transport_between_spaces(s, s)
+        assert render_transport(t) == "component 0 -> 0\nsrc=[0,1e-06) slope=1 offset=0"
+
+    def test_many_piece_light_group_maps_every_cell(self):
+        src = MeasureSpace((comp([(0, 1e-7, 1e-6), (1e-7, 5e-7, 2e-6), (5e-7, 1e-6, 1e-6)]),))
+        dst = interval_space(0, 1.4e-6, 1e-6)
+        t = transport_between_spaces(src, dst)
+        (entry,) = t.entries
+        assert [(p.start, p.stop) for p in entry.pieces] == [(0, 1e-7), (1e-7, 5e-7), (5e-7, 1e-6)]
+        f = StepFunction.from_pieces(src, [(0, 0, 9e-7, 1.5)])
+        assert log_norm(lift(t, f), dst).value == log_norm(f, src).value
+
+
 def _merged_parts(mset):
     """The parts of a set with touching parts of one component joined."""
     out = []

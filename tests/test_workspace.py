@@ -68,6 +68,36 @@ def test_unbounded_carrier_round_trip():
             "passports.P.u",
         ),
         ('{"passports": {"P": {"s": [], "u": [0], "m": [1], "x": 3}}}', "passports.P.x"),
+        # every object below the top level rejects a field it does not know
+        (
+            '{"space": [{"weight": 0, "carrier": [0, 1], "density": [{"from": 0, "to": 1, "value": 1}],'
+            ' "wieght": 1}]}',
+            "space[0].wieght: unknown field",
+        ),
+        (
+            '{"space": [{"weight": 0, "carrier": [0, 1],'
+            ' "density": [{"from": 0, "to": 1, "value": 1, "vaule": 5}]}]}',
+            "space[0].density[0].vaule: unknown field",
+        ),
+        (
+            '{"space": [{"weight": 0, "carrier": [0, 1], "density": [{"from": 0, "to": 1, "value": 1}]}],'
+            ' "densities": {"h": [{"componnet": 0, "from": 0, "to": 1, "value": 4}]}}',
+            "densities.h[0].componnet: unknown field",
+        ),
+        (
+            '{"space": [{"weight": 0, "carrier": [0, 1], "density": [{"from": 0, "to": 1, "value": 1}]}],'
+            ' "functions": {"f": [{"from": 0, "to": 1, "re": 1, "imag": 2}]}}',
+            "functions.f[0].imag: unknown field",
+        ),
+        (
+            '{"passports": {"P": {"s": [], "m": {"kind": "CONST", "params": [1], "param": [2]}}}}',
+            "passports.P.m.param: unknown field",
+        ),
+        (
+            '{"space": [{"weight": 0, "carrier": [0, 1],'
+            ' "density": [{"from": 0, "to": 1, "value": 1, "value": 7}]}]}',
+            "value: duplicate key",
+        ),
     ],
 )
 def test_field_addressed_rejection(text, needle):
