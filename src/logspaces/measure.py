@@ -269,6 +269,7 @@ def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
     """
     index = _density_index(space)
     terms = []
+    infinite = False
     for c, a, b in mset.parts:
         if not 0 <= c < len(index):
             raise LogSpaceError(f"component index {c} out of range")
@@ -277,8 +278,9 @@ def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
             raise LogSpaceError("symbolic component")
         if a < cells[0][0] or b > cells[-1][1]:
             raise LogSpaceError("out of carrier")
-        if math.isinf(b):
-            return INF
+        if math.isinf(b):  # later parts are still checked
+            infinite = True
+            continue
         # the cell holding a, then every cell that starts before b
         k, n = bisect_right(starts, a) - 1, len(cells)
         while k < n:
@@ -287,7 +289,7 @@ def measure(space: MeasureSpace, mset: MeasurableSet) -> ExtendedReal:
                 break
             terms.append(((hi if hi < b else b) - (lo if lo > a else a)) * d)
             k += 1
-    return ext_fsum(terms, "mass of a bounded set")
+    return INF if infinite else ext_fsum(terms, "mass of a bounded set")
 
 
 def total_measure(space: MeasureSpace) -> ExtendedReal:
@@ -365,6 +367,7 @@ def integrate_piecewise(
     if len(integrand) != len(space.components):
         raise LogSpaceError("integrand must supply one piece list per component")
     terms = []
+    infinite = False
     for comp, pieces in zip(space.components, integrand):
         pieces = tuple(pieces)
         _check_contiguous(pieces, "integrand")
@@ -376,7 +379,8 @@ def integrate_piecewise(
         for a, b, (f, d) in refine(pieces, comp.density.pieces):
             if f == 0.0:
                 continue
-            if math.isinf(b):
-                return INF
+            if math.isinf(b):  # later components are still checked
+                infinite = True
+                continue
             terms.append((b - a) * d * f)
-    return ext_fsum(terms, "integral over a bounded support")
+    return INF if infinite else ext_fsum(terms, "integral over a bounded support")

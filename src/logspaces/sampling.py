@@ -1,9 +1,11 @@
 """Seeded random generators for spaces, densities, functions and sets.
 
 Everything takes an explicit ``random.Random`` so verification runs are
-reproducible; nothing here touches global RNG state.  Step functions are
-drawn with bounded support (within the first few units of an unbounded
-carrier) so that every generated norm is finite and oracle-checkable.
+reproducible; nothing here touches global RNG state.  Step functions and
+measurable sets are drawn within the first ``_WINDOW`` units of each
+carrier, bounded or not, so that every generated norm is finite and
+oracle-checkable; a carrier shorter than the window is drawn on whole.  The
+density breakpoints of an unbounded carrier fall in that window too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from .measure import (
 )
 from .stepfunctions import EXTERNAL, Generalized, Internal, NormKind, StepFunction
 
-_WINDOW = 4.0  # support window on unbounded carriers
+# functions and sets are drawn on [start, start + _WINDOW) of every carrier,
+# bounded or not; an unbounded carrier's density breakpoints fall there too
+_WINDOW = 4.0
 
 
 def _interior_cuts(rng: random.Random, lo: float, hi: float, n: int) -> list[float]:

@@ -4,13 +4,16 @@ The transport between two components (or two spaces) is the monotone map
 matching cumulative measure: T = G^-1 o F for the cumulative measure
 functions F, G of source and target.  With piecewise-constant densities it is
 piecewise affine, so it is stored as finitely many affine pieces; unbounded
-carriers contribute one unbounded tail piece.  Spaces are matched weight
-group by weight group along concatenated mass lines, which also handles a
-group whose two sides split their mass over different component counts.
-Two groups are matched only if their totals, the passport's compensated
-sums, are equal as passport measures (1e-12 relative), so the construction
-accepts exactly the groups the isometry decision does; the map itself
-follows the running sums of the two mass lines.
+carriers contribute one unbounded tail piece.
+
+A transport defers to the isometry decision: it is built only where
+``decide_isometric_external`` calls the passports of the two spaces
+isometric, and raises "no measure-preserving map" elsewhere.  It then
+matches the concatenated mass lines of the two spaces, which also handles
+two sides that split their mass over different component counts; the map
+follows the running sums of the two lines.  A true verdict fails to build
+in exactly two ways: "pairing incomplete", when a side holds two unbounded
+components, and the overflow below.
 
 A mass line is held flat, as parallel lists of cell masses, components,
 positions and densities.  One walk over the merged mass cuts places each
@@ -36,17 +39,16 @@ from typing import Sequence
 
 from ._value import Value
 from .errors import LogSpaceError
-from .extreal import ExtendedReal, ext_sum
+from .extreal import ExtendedReal
 from .measure import (
     Component,
     MeasurableSet,
     MeasureSpace,
     PiecewiseDensity,
     SpaceDensity,
-    _weight_groups,
     merge_pieces,
 )
-from .passports import _MEASURE_RTOL, _same_measure
+from .passports import _MEASURE_RTOL, build_passport, decide_isometric_external
 from .render import format_real
 from .stepfunctions import (
     NormKind,
@@ -120,26 +122,21 @@ class IsometryReport(Value):
             raise LogSpaceError("deviation must be >= 0")
 
 
-# One weight group's concatenated mass line as parallel lists, one entry per
-# density piece: mass interval [m0, m1), component, position interval
-# [p0, p1) and density.
+# A space's concatenated mass line as parallel lists, one entry per density
+# piece: mass interval [m0, m1), component, position interval [p0, p1) and
+# density.
 _MassLine = tuple[list[float], list[float], list[int], list[float], list[float], list[float]]
 
 
-def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[_MassLine, float, float]:
-    """The mass line of one weight group: finite components first, one unbounded tail.
+def _mass_line(space: MeasureSpace) -> tuple[_MassLine, float]:
+    """The mass line of a space: bounded components first, one unbounded tail.
 
-    Returns the line, its end (the running sum), and the group's total as
-    the passport computes it, +inf for an unbounded group.
+    Returns the line and its end, the running sum (+inf for an unbounded tail).
     """
-    masses = [c.measure() for _, c in items]
-    finite = [item for item, mass in zip(items, masses) if mass.is_finite]
-    unbounded = [item for item, mass in zip(items, masses) if not mass.is_finite]
+    bounded = [(i, c) for i, c in enumerate(space.components) if c.carrier[1] < math.inf]
+    unbounded = [(i, c) for i, c in enumerate(space.components) if c.carrier[1] == math.inf]
     if len(unbounded) > 1:
         raise LogSpaceError("pairing incomplete")
-    # the passport's group total, which also rejects an overflowing bounded
-    # part rather than match it as an infinite mass line
-    total = ext_sum(masses).value
     m0s: list[float] = []
     m1s: list[float] = []
     comps: list[int] = []
@@ -147,7 +144,7 @@ def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[_MassLine, flo
     p1s: list[float] = []
     dens: list[float] = []
     m = 0.0
-    for idx, comp in finite + unbounded:
+    for idx, comp in bounded + unbounded:
         for p in comp.density.pieces:
             start, stop, value = p.start, p.stop, p.value
             m0s.append(m)
@@ -157,24 +154,7 @@ def _group_cells(items: Sequence[tuple[int, Component]]) -> tuple[_MassLine, flo
             p0s.append(start)
             p1s.append(stop)
             dens.append(value)
-    return (m0s, m1s, comps, p0s, p1s, dens), m, total
-
-
-def _match_groups(
-    src: Sequence[tuple[int, Component]], dst: Sequence[tuple[int, Component]]
-) -> list[ComponentTransport]:
-    """The transport between two weight groups, if the passport calls their totals equal.
-
-    A total that underflows to 0 is rejected as the passport rejects it.
-    """
-    src_line, sm, src_total = _group_cells(src)
-    dst_line, dm, dst_total = _group_cells(dst)
-    for total in (src_total, dst_total):
-        if not total > 0.0:
-            raise LogSpaceError(f"finite measures must be positive and finite, got {total!r}")
-    if not _same_measure(src_total, dst_total):
-        raise LogSpaceError("no measure-preserving map")
-    return _match_mass_lines(src_line, sm, dst_line, dm)
+    return (m0s, m1s, comps, p0s, p1s, dens), m
 
 
 def _match_mass_lines(
@@ -262,27 +242,24 @@ def glue_transports(pairs: Sequence[tuple[Component, Component]]) -> TransportMa
         raise LogSpaceError("pairing incomplete")
     entries: list[ComponentTransport] = []
     for k, (src, dst) in enumerate(pairs):
-        if not (src.realizable and dst.realizable):
-            raise LogSpaceError("symbolic component")
-        entries.extend(_match_groups([(k, src)], [(k, dst)]))
+        tmap = transport_between_spaces(MeasureSpace((src,)), MeasureSpace((dst,)))
+        entries.extend([ComponentTransport(k, k, e.pieces) for e in tmap.entries])
     return TransportMap(tuple(entries), len(pairs), len(pairs))
 
 
 def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportMap:
-    """Monotone transport between whole spaces, matched weight group by weight group.
+    """Monotone transport between whole spaces the isometry decision calls isometric.
 
-    Within a group the two sides may split their mass over different component
-    counts; the concatenated mass lines take care of the pairing.
+    The two sides may split their mass over different component counts; the
+    concatenated mass lines take care of the pairing.
     """
     if not all(c.realizable for c in src.components + dst.components):
         raise LogSpaceError("symbolic component")
-    src_groups = _weight_groups(src)
-    dst_groups = _weight_groups(dst)
-    if src_groups.keys() != dst_groups.keys():
+    if not decide_isometric_external(build_passport(src), build_passport(dst)).verdict:
         raise LogSpaceError("no measure-preserving map")
-    entries: list[ComponentTransport] = []
-    for weight, items in src_groups.items():
-        entries.extend(_match_groups(items, dst_groups[weight]))
+    src_line, sm = _mass_line(src)
+    dst_line, dm = _mass_line(dst)
+    entries = _match_mass_lines(src_line, sm, dst_line, dm)
     return TransportMap(tuple(entries), len(src.components), len(dst.components))
 
 

@@ -47,6 +47,13 @@ def test_measure_errors():
         measure(s, MeasurableSet(((1, 0.0, 1.0),)))
     with pytest.raises(LogSpaceError, match="out of carrier"):
         measure(s, MeasurableSet(((0, 0.5, 1.5),)))
+    # parts after an unbounded one are still checked
+    s = MeasureSpace((Component(constant_density(0, math.inf)), Component(constant_density(0, 1))))
+    with pytest.raises(LogSpaceError, match="out of carrier"):
+        measure(s, MeasurableSet(((0, 0, math.inf), (1, 0.5, 2.0))))
+    with pytest.raises(LogSpaceError, match="component index 5 out of range"):
+        measure(s, MeasurableSet(((0, 0, math.inf), (5, 0.5, 2.0))))
+    assert measure(s, MeasurableSet(((0, 0, math.inf), (1, 0.5, 1.0)))) == INF
 
 
 def test_total_measure_examples():
@@ -171,6 +178,14 @@ def test_integrate_piecewise_infinite_and_signed():
     assert integrate_piecewise(s, tail_pos) == INF
     with pytest.raises(LogSpaceError, match="signed integrand unsupported"):
         integrate_piecewise(interval_space(0, 1), ((IntervalPiece(0.0, 1.0, -1.0),),))
+    # components after an infinite one are still checked
+    s = MeasureSpace((Component(constant_density(0, math.inf)), Component(constant_density(0, 1))))
+    tail = (IntervalPiece(0.0, math.inf, 1.0),)
+    with pytest.raises(LogSpaceError, match="signed integrand unsupported"):
+        integrate_piecewise(s, (tail, (IntervalPiece(0.0, 1.0, -1.0),)))
+    with pytest.raises(LogSpaceError, match="integrand must cover the component carrier exactly"):
+        integrate_piecewise(s, (tail, (IntervalPiece(0.0, 0.5, 1.0),)))
+    assert integrate_piecewise(s, (tail, (IntervalPiece(0.0, 1.0, 1.0),))) == INF
 
 
 def test_integrate_piecewise_rejects_overflow_on_bounded_support():

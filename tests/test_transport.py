@@ -152,6 +152,9 @@ class TestSpaceTransport:
         dst = MeasureSpace((hl,))
         with pytest.raises(LogSpaceError, match="pairing incomplete"):
             transport_between_spaces(src, dst)
+        # the decision is asked first: two half-lines are not isometric to a bounded space
+        with pytest.raises(LogSpaceError, match="no measure-preserving map"):
+            transport_between_spaces(src, interval_space(0, 1))
 
     def test_slope_that_overflows_is_rejected_as_an_overflow(self):
         # density ratio 1e400: the slope is inf and its offset 0 - inf * 0 is NaN
@@ -212,6 +215,8 @@ class TestGroupTotalsAgreeWithTheDecision:
             lambda: build_passport(s),
             lambda: transport_between_spaces(s, s),
             lambda: glue_transports([(s.components[0], s.components[0])]),
+            # the source's passport is rejected before a target whose mass overflows
+            lambda: transport_between_spaces(s, interval_space(0, 1e200, 1e200)),
         ):
             with pytest.raises(LogSpaceError) as err:
                 construct()
