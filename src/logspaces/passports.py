@@ -228,7 +228,7 @@ def _third_rows_diff(ma: MeasureSeq, mb: MeasureSeq) -> str | None:
                 return f"third rows differ at index {k}: {format_real(x)} vs {format_real(y)}"
         return None
     if isinstance(ma, ClosedForm) and isinstance(mb, ClosedForm):
-        if ma.kind != mb.kind or ma.params != mb.params:
+        if ma.kind != mb.kind or not all(map(_same_measure, ma.params, mb.params)):
             return f"third rows differ: {_closed_form_text(ma)} vs {_closed_form_text(mb)}"
         return None
     raise LogSpaceError("incomparable sequences")

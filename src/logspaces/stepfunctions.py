@@ -41,8 +41,9 @@ from .measure import (
     uniform_density,
 )
 
-# numpy is imported inside the oracle and its grid helpers, its only users, so
-# that importing the package (and so every CLI call) does not load it
+# numpy, an optional dependency (the "oracle" extra), is imported inside the
+# oracle and its grid helpers, its only users, so that importing the package
+# (and so every CLI call) neither loads nor needs it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -411,9 +412,14 @@ def riemann_oracle(
     `subdivisions` counts cells per unit length.  The partition is refined at
     the jump points of the integrand, so the sum is an independent pointwise
     check of the closed form rather than a victim of jump aliasing.  Supports
-    must be bounded.
+    must be bounded.  It needs numpy, the package's ``oracle`` extra.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise LogSpaceError(
+            'riemann_oracle needs numpy: install the "oracle" extra (pip install "logspaces[oracle]")'
+        ) from None
 
     if subdivisions < 1:
         raise LogSpaceError("subdivisions must be >= 1")

@@ -19,23 +19,34 @@ A mass line is held flat, as parallel lists of cell masses, components,
 positions and densities.  One walk over the merged mass cuts places each
 cut on both lines inline and writes every affine piece once, through its
 slots; a touching segment with the same slope and offset extends the piece
-before it.  A slope or offset outside the float range (a density ratio
-that overflows or underflows, or an offset that overflows) is rejected as
-an overflow.
+before it.  On the cell of the previous cut, a cut's position is the one
+already computed there.  A slope or offset outside the float range (a
+density ratio that overflows or underflows, or an offset that overflows) is
+rejected as an overflow.
 
 On step functions the transport acts by ``lift`` (coefficients ride along,
-intervals move), and ``weighting_isometry`` divides by a density to move
-between the plain and the density-weighted norms.  ``verify_isometry`` is the
-numerical end of the story: seeded random step functions, norms on both
-sides, worst deviation reported.
+intervals move), and ``transport_set`` maps interval sets.  Both run one
+walk per source component, ``_images``: ``merge_pieces`` runs the source
+pieces against that component's affine pieces sorted by start, each cell's
+image ends are computed inline by ``AffinePiece.image_of``'s rule, and each
+piece's covered length is checked when the walk leaves it.  ``lift`` joins
+touching images of one piece in the walk and sorts the joined cells into
+the step-function builder.  An image that is empty in floats (shorter than
+the target's float spacing) is dropped and its cell counts as unmapped:
+within the 1e-9 cover sliver it is lost, beyond it both functions raise
+"collapsed image".
+
+``weighting_isometry`` divides by a density to move between the plain and
+the density-weighted norms.  ``verify_isometry`` is the numerical end of
+the story: seeded random step functions, norms on both sides, worst
+deviation reported.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from operator import attrgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ._value import Value
 from .errors import LogSpaceError
@@ -54,7 +65,7 @@ from .stepfunctions import (
     NormKind,
     StepFunction,
     _as_space_density,
-    _canonical,
+    _bounds,
     _from_cells,
     _wrap,
     log_norm,
@@ -75,13 +86,19 @@ class AffinePiece(Value):
     image_stop: float
 
     def __post_init__(self):
+        # the lift hands image ends to the step-function builder, which takes floats
+        for name in self.__slots__:
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not self.start < self.stop:
             raise LogSpaceError("affine piece must satisfy start < stop")
         if not self.slope > 0.0:
             raise LogSpaceError("affine piece slope must be > 0")
 
     def image_of(self, x: float) -> float:
-        """Map a point; endpoints snap to the stored image interval ends."""
+        """Map a point; endpoints snap to the stored image interval ends.
+
+        ``_images`` applies this rule inline to the ends of every cell.
+        """
         if x == self.start:
             return self.image_start
         if x == self.stop:
@@ -188,6 +205,7 @@ def _match_mass_lines(
     s_prev = d_prev = -1
     s_last, d_last = len(sm0) - 1, len(dm0) - 1
     si = di = 0
+    s_at = d_at = -1  # the cells on which p2 and q2, the positions of the last cut, lie
     for a, b in zip(cuts, cuts[1:]):
         # a cell with at most eps of mass left beyond a counts as exhausted;
         # merged cuts can sit one ulp before a genuine cell boundary
@@ -195,15 +213,24 @@ def _match_mass_lines(
             si += 1
         while di < d_last and dm1[di] <= a + eps:
             di += 1
-        # the positions of masses a and b in each cell, clamped and snapped to its ends
-        m0, m1, x0, x1, sd = sm0[si], sm1[si], sp0[si], sp1[si], sdens[si]
-        p1 = x0 if a <= m0 else x1 if a >= m1 else x0 + (a - m0) / sd
-        p2 = x0 if b <= m0 else x1 if b >= m1 else x0 + (b - m0) / sd
+        # the positions of masses a and b in each cell, clamped and snapped to its
+        # ends; on the cell of the last cut, a's position is that cut's
+        if si == s_at:
+            p1 = p2
+        else:
+            s_at = si
+            sm, sn, sx, sy, sd = sm0[si], sm1[si], sp0[si], sp1[si], sdens[si]
+            p1 = sx if a <= sm else sy if a >= sn else sx + (a - sm) / sd
+        p2 = sx if b <= sm else sy if b >= sn else sx + (b - sm) / sd
+        if di == d_at:
+            q1 = q2
+        else:
+            d_at = di
+            dm, dn, dx, dy, dd = dm0[di], dm1[di], dp0[di], dp1[di], ddens[di]
+            q1 = dx if a <= dm else dy if a >= dn else dx + (a - dm) / dd
+        q2 = dx if b <= dm else dy if b >= dn else dx + (b - dm) / dd
         if not p1 < p2:
             continue
-        m0, m1, x0, x1, dd = dm0[di], dm1[di], dp0[di], dp1[di], ddens[di]
-        q1 = x0 if a <= m0 else x1 if a >= m1 else x0 + (a - m0) / dd
-        q2 = x0 if b <= m0 else x1 if b >= m1 else x0 + (b - m0) / dd
         slope = sd / dd
         offset = q1 - slope * p1
         if not (0.0 < slope < inf and -inf < offset < inf):
@@ -263,33 +290,79 @@ def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportM
     return TransportMap(tuple(entries), len(src.components), len(dst.components))
 
 
-def _images(tmap: TransportMap, sources: dict[int, Sequence]) -> list[tuple]:
-    """(source piece, dst component, image interval) for every cell of the sources.
+def _check_cover(p, covered: float, lost: float) -> None:
+    """A piece must be mapped up to a 1e-9 relative sliver, an unbounded one out to +inf.
 
-    `sources` maps a source component to its sorted, disjoint pieces, which
-    are merged with that component's affine pieces sorted by start.  A
-    bounded piece must be covered up to a 1e-9 relative sliver; an unbounded
-    one must be covered out to +inf.
+    `covered` is its mapped length and `lost` the length whose image is empty in floats.
+    """
+    length = p.stop - p.start
+    if math.isinf(length):
+        if not math.isinf(covered):
+            raise LogSpaceError("unmapped support")
+    elif length - covered > _COVER_RTOL * (1.0 + length):
+        if lost and not length - covered - lost > _COVER_RTOL * (1.0 + length):
+            raise LogSpaceError(
+                f"collapsed image: [{p.start!r}, {p.stop!r}) maps to less than the target's float spacing"
+            )
+        raise LogSpaceError("unmapped support")
+
+
+def _images(tmap: TransportMap, sources: dict[int, Sequence], join: bool = False) -> Iterator[tuple]:
+    """(source piece, dst component, image start, image stop) for every cell of the sources.
+
+    `sources` maps a source component to its sorted, disjoint pieces.  One
+    walk per component merges them with that component's affine pieces,
+    sorted by start, whose destinations sit in a parallel list.  A cell's
+    image ends follow ``AffinePiece.image_of``.  With `join`, touching
+    images of one piece in one target component are yielded as one.  An
+    image that is empty in floats (shorter than the target's float spacing)
+    is dropped, and its cell counts as unmapped.  Each piece's cover is
+    checked by ``_check_cover`` when the walk leaves it.
     """
     by_src: dict[int, list[ComponentTransport]] = {}
     for entry in tmap.entries:
         by_src.setdefault(entry.src, []).append(entry)
-    images = []
     for comp, pieces in sources.items():
         entries = by_src.get(comp, [])
-        dst_at = {t.start: e.dst for e in entries for t in e.pieces}
-        affine = sorted([t for e in entries for t in e.pieces], key=attrgetter("start"))
-        covered = {p.start: 0.0 for p in pieces}  # mapped source length per piece
-        for lo, hi, (p, t) in merge_pieces(pieces, affine):
-            if p is not None and t is not None:
-                images.append((p, dst_at[t.start], t.image_of(lo), t.image_of(hi)))
-                covered[p.start] += hi - lo
-        for p in pieces:
-            length, mapped = p.stop - p.start, covered[p.start]
-            unmapped_tail = math.isinf(length) and not math.isinf(mapped)
-            if unmapped_tail or length - mapped > _COVER_RTOL * (1.0 + length):
-                raise LogSpaceError("unmapped support")
-    return images
+        affine = [t for e in entries for t in e.pieces]
+        dsts = [e.dst for e in entries for _ in e.pieces]
+        starts = [t.start for t in affine]
+        if sorted(starts) != starts:  # only a map built by hand lists its pieces out of order
+            order = sorted(range(len(affine)), key=starts.__getitem__)
+            affine = [affine[k] for k in order]
+            dsts = [dsts[k] for k in order]
+        k = 0  # the position of the cell's affine piece
+        p = None  # the piece being walked
+        for lo, hi, (q, t) in merge_pieces(pieces, affine):
+            if q is not p:
+                if p is not None:
+                    _check_cover(p, covered, lost)
+                    if dst >= 0:
+                        yield p, dst, begin, end
+                # its mapped and collapsed length, summed cell by cell, and the
+                # target component of the image held back (none yet)
+                p, covered, lost, dst = q, 0.0, 0.0, -1
+            if q is None or t is None:
+                continue
+            while affine[k] is not t:
+                k += 1
+            # image_of's rule: an end of the affine piece snaps to its stored image end
+            y0 = t.image_start if lo == t.start else t.offset + t.slope * lo
+            y1 = t.image_stop if hi == t.stop else t.offset + t.slope * hi
+            if not y0 < y1:
+                lost += hi - lo
+                continue
+            covered += hi - lo
+            if join and dsts[k] == dst and y0 == end:
+                end = y1
+            else:
+                if dst >= 0:
+                    yield p, dst, begin, end
+                dst, begin, end = dsts[k], y0, y1
+        if p is not None:
+            _check_cover(p, covered, lost)
+            if dst >= 0:
+                yield p, dst, begin, end
 
 
 def transport_set(tmap: TransportMap, mset: MeasurableSet) -> MeasurableSet:
@@ -306,15 +379,18 @@ def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
 
     Coefficients are untouched; pieces move to their image intervals.  The
     support must lie in the mapped region up to a 1e-9 relative sliver.
+    Touching images of one piece in one target component are joined in the
+    walk, so each piece usually reaches the builder once.
     """
     if len(f.pieces) != tmap.src_components:
         raise LogSpaceError("function/space mismatch")
     buckets: list[list[tuple[float, float, complex]]] = [[] for _ in range(tmap.dst_components)]
     sources = {comp: pieces for comp, pieces in enumerate(f.pieces) if pieces}
-    for p, dst, lo, hi in _images(tmap, sources):
-        if lo < hi:
-            buckets[dst].append((lo, hi, p.coef))
-    return _wrap(tuple([_canonical(b) for b in buckets]))
+    for p, dst, lo, hi in _images(tmap, sources, join=True):
+        buckets[dst].append((lo, hi, p.coef))
+    for cells in buckets:
+        cells.sort(key=_bounds)
+    return _wrap(tuple([_from_cells(cells) for cells in buckets]))
 
 
 def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> StepFunction:

@@ -17,8 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logspaces import (
+    Component,
+    IntervalPiece,
     LogSpaceError,
     MeasurableSet,
+    MeasureSpace,
+    PiecewiseDensity,
     StepFunction,
     StepPiece,
     add,
@@ -40,6 +44,9 @@ from logspaces.sampling import (
     random_step_function,
 )
 from logspaces.stepfunctions import _canonical
+from logspaces.transport import ComponentTransport, TransportMap
+from test_mass_lines import _outcome as map_outcome
+from test_mass_lines import reference_between_spaces
 
 _COVER_RTOL = 1e-9
 
@@ -243,3 +250,131 @@ def test_an_unbounded_piece_needs_an_unbounded_image():
         lift(tmap, f)
     with pytest.raises(LogSpaceError, match="unmapped support"):
         transport_set(tmap, MeasurableSet(((0, 0.0, math.inf),)))
+
+
+# Benchmark-size inputs: components of a few hundred to a thousand density
+# pieces, functions and sets of as many pieces, so that a map has thousands
+# of affine pieces and every walk runs far past its first few steps.
+
+
+def _sized_component(rng, start, n, mass=None, unbounded=False):
+    """n density pieces 0.002-0.018 long; rescaled to `mass` when given."""
+    bounds = [start]
+    for _ in range(n):
+        bounds.append(bounds[-1] + rng.uniform(0.002, 0.018))
+    values = [rng.uniform(0.25, 4.0) for _ in range(n)]
+    if mass is not None:
+        scale = mass / math.fsum((b - a) * v for a, b, v in zip(bounds, bounds[1:], values))
+        values = [v * scale for v in values]
+    if unbounded:
+        bounds[-1] = math.inf
+    pieces = tuple(IntervalPiece(a, b, v) for a, b, v in zip(bounds, bounds[1:], values))
+    return Component(PiecewiseDensity(pieces))
+
+
+def _sized_pair(rng, n, parts, unbounded):
+    """A one-component source of n pieces and a partner splitting its mass over `parts` components.
+
+    The partner's carriers touch.  With `unbounded`, both sides end in an unbounded component.
+    """
+    src = MeasureSpace((_sized_component(rng, 0.0, n, unbounded=unbounded),))
+    bounded = parts - 1 if unbounded else parts
+    share = (rng.uniform(0.5, 2.0) if unbounded else src.components[0].measure().value) / bounded
+    comps = []
+    start = -5.0
+    for _ in range(bounded):  # end to end, so that images in two components can touch
+        comps.append(_sized_component(rng, start, n // parts, share))
+        start = comps[-1].carrier[1]
+    if unbounded:
+        comps.append(_sized_component(rng, start, n // parts, unbounded=True))
+    return src, MeasureSpace(tuple(comps))
+
+
+def _sized_function(rng, space, n):
+    """About n pieces per component, with gaps and complex coefficients.
+
+    An unbounded carrier also gets a piece out to +inf.
+    """
+    specs = []
+    for i, comp in enumerate(space.components):
+        lo, hi = comp.carrier
+        top = lo + 0.01 * n if math.isinf(hi) else hi
+        bounds = sorted(rng.uniform(lo, top) for _ in range(n))
+        for a, b in zip(bounds, bounds[1:]):
+            if a < b and rng.random() < 0.9:
+                specs.append((i, a, b, complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))))
+        if math.isinf(hi):
+            specs.append((i, top, math.inf, 2.0 + 1j))
+    return StepFunction.from_pieces(space, specs)
+
+
+def _sized_set(rng, space, n):
+    """About n/2 disjoint intervals per component, with gaps between them.
+
+    An unbounded carrier also gets an interval out to +inf.
+    """
+    parts = []
+    for i, comp in enumerate(space.components):
+        lo, hi = comp.carrier
+        top = lo + 0.01 * n if math.isinf(hi) else hi
+        bounds = sorted({rng.uniform(lo, top) for _ in range(n)})
+        parts.extend((i, a, b) for a, b in zip(bounds[0::2], bounds[1::2]))
+        if math.isinf(hi):
+            parts.append((i, top, math.inf))
+    return MeasurableSet(tuple(parts))
+
+
+def _assert_lift_and_set_match_entry_scan(tmap, src, n, rng):
+    f = _sized_function(rng, src, n)
+    mset = _sized_set(rng, src, n)
+    got = _outcome(lift, tmap, f)
+    assert not isinstance(got, tuple)  # the inputs lie in the mapped region
+    assert _exact(got) == _exact(_outcome(reference_lift, tmap, f))
+    got = _outcome(transport_set, tmap, mset)
+    assert _exact(got) == _exact(_outcome(reference_transport_set, tmap, mset))
+
+
+@pytest.mark.parametrize(
+    "n, parts, unbounded",
+    [(250, 1, False), (250, 3, True), (500, 4, False), (1000, 2, True)],
+)
+def test_lift_and_transport_set_match_entry_scan_at_benchmark_size(n, parts, unbounded):
+    rng = random.Random(n + parts)
+    src, dst = _sized_pair(rng, n, parts, unbounded)
+    tmap = transport_between_spaces(src, dst)
+    assert len({e.dst for e in tmap.entries}) == parts
+    _assert_lift_and_set_match_entry_scan(tmap, src, n, rng)
+    # the reverse map takes several source components to one
+    _assert_lift_and_set_match_entry_scan(transport_between_spaces(dst, src), dst, n, rng)
+
+
+@pytest.mark.parametrize("n", [250, 500])
+def test_glued_lift_and_transport_set_match_entry_scan_at_benchmark_size(n):
+    rng = random.Random(n)
+    src = MeasureSpace(tuple(_sized_component(rng, 10.0 * k, n // 2) for k in range(2)))
+    dst = MeasureSpace(
+        tuple(_sized_component(rng, -10.0 * k, n, c.measure().value) for k, c in enumerate(src.components))
+    )
+    tmap = glue_transports(list(zip(src.components, dst.components)))
+    _assert_lift_and_set_match_entry_scan(tmap, src, n, rng)
+
+
+def test_a_map_listing_its_pieces_out_of_order_matches_entry_scan():
+    rng = random.Random(5)
+    src, dst = _sized_pair(rng, 250, 3, False)
+    built = transport_between_spaces(src, dst)
+    tmap = TransportMap(
+        tuple(ComponentTransport(e.src, e.dst, e.pieces[::-1]) for e in reversed(built.entries)),
+        built.src_components,
+        built.dst_components,
+    )
+    _assert_lift_and_set_match_entry_scan(tmap, src, 250, rng)
+
+
+def test_a_thousand_piece_map_matches_the_frozen_construction():
+    rng = random.Random(1000)
+    src, dst = _sized_pair(rng, 1000, 3, False)
+    for a, b in ((src, dst), (dst, src)):
+        want = map_outcome(reference_between_spaces, a, b)
+        assert want[0] != "LogSpaceError" and sum(len(ps) for _, _, ps in want[2]) > 1000
+        assert map_outcome(transport_between_spaces, a, b) == want

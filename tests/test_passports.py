@@ -242,6 +242,15 @@ class TestDecisions:
         base = P(u=(0,), m=(2.0,))
         assert decide_isometric_external(base, P(u=(0,), m=(2.0 + 1e-13,))).verdict
         assert not decide_isometric_external(base, P(u=(0,), m=(2.0 + 1e-9,))).verdict
+        # closed-form parameters compare at the same tolerance as finite rows
+        for decide in (decide_isometric_external, decide_isometric_generalized):
+            assert decide(P(m=ClosedForm("CONST", (1.0,))), P(m=ClosedForm("CONST", (1 + 1e-15,)))).verdict
+            cf = ClosedForm("LINEAR", (2.0, 3.0))
+            assert decide(P(m=cf), P(m=ClosedForm("LINEAR", (2.0 + 1e-13, 3.0 - 1e-13)))).verdict
+            d = decide(P(m=cf), P(m=ClosedForm("LINEAR", (2.0, 3.0 + 1e-9))))
+            assert not d.verdict and d.witness == "third rows differ: LINEAR a=2 b=3 vs LINEAR a=2 b=3.000000001"
+            d = decide(P(m=ClosedForm("CONST", (2.0,))), P(m=ClosedForm("RECIP", (2.0,))))
+            assert not d.verdict and d.witness == "third rows differ: CONST c=2 vs RECIP a=2"
 
     def test_isometric_generalized(self):
         a = P(u=(0, 1), m=(1.0, 0.5))

@@ -38,6 +38,7 @@ from logspaces.sampling import (
     random_measurable_set,
     random_step_function,
 )
+from logspaces.transport import AffinePiece, ComponentTransport, TransportMap
 
 
 def comp(spec, weight=0):
@@ -329,6 +330,45 @@ class TestLift:
         f = StepFunction.from_pieces(wide, [(0, 1.2, 1.8, 1)])
         with pytest.raises(LogSpaceError, match="unmapped support"):
             lift(t, f)
+
+    def test_a_map_built_from_integers_lifts_to_float_bounds(self):
+        s = interval_space(0, 1)
+        f = StepFunction.from_pieces(s, [(0, 0.0, 0.5, 3), (0, 0.5, 1.0, 1)])
+        by_hand = TransportMap((ComponentTransport(0, 0, (AffinePiece(0, 1, 2, 0, 0, 2),)),))
+        g = lift(by_hand, f)
+        assert [(p.start.hex(), p.stop.hex()) for p in g.pieces[0]] == [
+            (x.hex(), y.hex()) for x, y in ((0.0, 1.0), (1.0, 2.0))
+        ]
+
+
+class TestCollapsedImages:
+    """Images shorter than the target's float spacing near 1e16 (2.0) have zero length."""
+
+    s = interval_space(0, 1)
+    t = interval_space(1e16, 1e16 + 4, 0.25)
+
+    def test_a_collapse_beyond_the_cover_sliver_is_named(self):
+        tmap = transport_between_spaces(self.s, self.t)
+        f = StepFunction.from_pieces(self.s, [(0, 0.1, 0.1000001, 1), (0, 0.5, 1.0, 2)])
+        assert log_norm(f, self.s).value > 0.0
+        with pytest.raises(LogSpaceError, match="collapsed image"):
+            lift(tmap, f)
+        with pytest.raises(LogSpaceError, match="collapsed image"):
+            transport_set(tmap, MeasurableSet(((0, 0.1, 0.1000001), (0, 0.5, 1.0))))
+
+    def test_a_collapse_within_the_cover_sliver_is_dropped_in_both(self):
+        tmap = transport_between_spaces(self.s, self.t)
+        f = StepFunction.from_pieces(self.s, [(0, 0.1, 0.1 + 1e-10, 1), (0, 0.5, 1.0, 2)])
+        assert lift(tmap, f) == StepFunction.from_pieces(self.t, [(0, 1e16 + 2, 1e16 + 4, 2)])
+        image = transport_set(tmap, MeasurableSet(((0, 0.1, 0.1 + 1e-10), (0, 0.5, 1.0))))
+        assert image == MeasurableSet(((0, 1e16 + 2, 1e16 + 4),))
+
+    def test_support_off_the_map_is_still_unmapped_support(self):
+        # [0.9999999, 1) collapses onto 1e16 + 4, and [1, 1.5) lies off the map
+        tmap = transport_between_spaces(self.s, self.t)
+        f = StepFunction.from_pieces(interval_space(0, 2), [(0, 0.9999999, 1.5, 1)])
+        with pytest.raises(LogSpaceError, match="unmapped support"):
+            lift(tmap, f)
 
 
 class TestWeighting:
