@@ -2,6 +2,9 @@
 
 Exit codes are part of the contract: 0 for success (or a true verdict),
 1 for a false verdict or a failed verification, 2 for any error.
+
+Only ``transport`` and ``verify`` build a map, so only they import
+``logspaces.transport``; the other subcommands never compile it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .passports import (
 )
 from .render import format_real
 from .stepfunctions import EXTERNAL, Generalized, Internal, log_norm
-from .transport import render_transport, transport_between_spaces, verify_isometry
 from .workspace import Workspace, load_workspace
 
 _DEVIATION_LIMIT = 1e-9
@@ -102,12 +104,16 @@ def _cmd_decide(ws: Workspace, args) -> int:
 
 
 def _cmd_transport(ws: Workspace, args) -> int:
+    from .transport import render_transport, transport_between_spaces
+
     tmap = transport_between_spaces(_require_space(ws, "space"), _require_space(ws, "space2"))
     print(render_transport(tmap))
     return 0
 
 
 def _cmd_verify(ws: Workspace, args) -> int:
+    from .transport import transport_between_spaces, verify_isometry
+
     space = _require_space(ws)
     if args.target == "transport":
         space2 = _require_space(ws, "space2")

@@ -116,8 +116,9 @@ class Component(Value):
     weight: WeightLabel = 0
 
     def __post_init__(self):
-        if not isinstance(self.weight, int) or self.weight < 0:
-            raise LogSpaceError(f"weight must be a non-negative integer, got {self.weight!r}")
+        w = self.weight
+        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+            raise LogSpaceError(f"weight must be a non-negative integer, got {w!r}")
 
     @property
     def carrier(self) -> tuple[float, float]:

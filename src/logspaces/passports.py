@@ -62,6 +62,9 @@ class ClosedForm(Value):
             raise LogSpaceError(f"unknown closed form kind {self.kind!r}")
         if len(self.params) != len(names):
             raise LogSpaceError(f"{self.kind} takes {len(names)} parameter(s)")
+        for name, p in zip(names, self.params):
+            if not math.isfinite(p):
+                raise LogSpaceError(f"{self.kind} parameter {name} must be finite, got {p!r}")
         if self.term(1) <= 0:
             raise LogSpaceError(f"{self.kind}{self.params} is not positive at i=1")
         if self.kind in ("LINEAR", "GEOM") and self.params[0] <= 0:
@@ -132,8 +135,15 @@ def ratio_bounded(a: MeasureSeq, b: MeasureSeq) -> bool:
     raise LogSpaceError("incomparable sequences")
 
 
-def _strictly_increasing(row: tuple[int, ...]) -> bool:
-    return all(x < y for x, y in zip(row, row[1:]))
+def _label_row(row, name: str) -> tuple[int, ...]:
+    """The row as a tuple of strictly increasing non-negative int labels (no bools)."""
+    labels = tuple(row)
+    for w in labels:
+        if isinstance(w, bool) or not isinstance(w, int):
+            raise LogSpaceError(f"{name} row labels must be integers, got {w!r}")
+    if any(w < 0 for w in labels) or any(x >= y for x, y in zip(labels, labels[1:])):
+        raise LogSpaceError(f"{name} row must be strictly increasing non-negative labels")
+    return labels
 
 
 class Passport(Value):
@@ -148,16 +158,12 @@ class Passport(Value):
     row_m: MeasureSeq = FiniteList(())
 
     def __post_init__(self):
-        object.__setattr__(self, "row_s", tuple(int(w) for w in self.row_s))
-        if any(w < 0 for w in self.row_s) or not _strictly_increasing(self.row_s):
-            raise LogSpaceError("first row must be strictly increasing non-negative labels")
+        object.__setattr__(self, "row_s", _label_row(self.row_s, "first"))
         if self.row_u is None:
             if not isinstance(self.row_m, ClosedForm):
                 raise LogSpaceError("implicit second row requires a closed-form third row")
             return
-        object.__setattr__(self, "row_u", tuple(int(w) for w in self.row_u))
-        if any(w < 0 for w in self.row_u) or not _strictly_increasing(self.row_u):
-            raise LogSpaceError("second row must be strictly increasing non-negative labels")
+        object.__setattr__(self, "row_u", _label_row(self.row_u, "second"))
         if isinstance(self.row_m, ClosedForm):
             raise LogSpaceError("closed-form third row requires the implicit second row (None)")
         if len(self.row_m) != len(self.row_u):

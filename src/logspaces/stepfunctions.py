@@ -16,7 +16,9 @@ Norm kinds:
 * ``Generalized(h1, h2)`` integral of h1 log(1 + h2 |f|) d(mu)
 
 All three are evaluated exactly in closed form on the common refinement of
-the pieces involved; ``riemann_oracle`` is the independent brute-force check.
+the pieces involved.  The independent brute-force check, ``riemann_oracle``,
+lives in ``logspaces.oracle``, the one module that uses numpy; it shares
+``_kind_weights`` and ``_check_function_fits`` with the closed form.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import cmath
 import math
 import operator
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable
 
 from ._value import Value
 from .errors import LogSpaceError
@@ -40,12 +42,6 @@ from .measure import (
     merge_pieces,
     uniform_density,
 )
-
-# numpy, an optional dependency (the "oracle" extra), is imported inside the
-# oracle and its grid helpers, its only users, so that importing the package
-# (and so every CLI call) neither loads nor needs it
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _bad_piece(start: float, stop: float, coef: complex) -> LogSpaceError:
@@ -380,75 +376,3 @@ def distance(
     f: StepFunction, g: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL
 ) -> ExtendedReal:
     return log_norm(add(f, scale(g, -1)), space, kind)
-
-
-def _values_on_grid(pieces: Sequence[StepPiece], xs: np.ndarray) -> np.ndarray:
-    """|f| sampled pointwise; zero in the gaps."""
-    import numpy as np
-
-    if not pieces:
-        return np.zeros_like(xs)
-    starts = np.array([p.start for p in pieces])
-    stops = np.array([p.stop for p in pieces])
-    mods = np.array([abs(p.coef) for p in pieces])
-    idx = np.clip(np.searchsorted(starts, xs, side="right") - 1, 0, len(pieces) - 1)
-    inside = (xs >= starts[idx]) & (xs < stops[idx])
-    return np.where(inside, mods[idx], 0.0)
-
-
-def _density_on_grid(pd: PiecewiseDensity, xs: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    starts = np.array([p.start for p in pd.pieces[1:]])
-    vals = np.array([p.value for p in pd.pieces])
-    return vals[np.searchsorted(starts, xs, side="right")]
-
-
-def riemann_oracle(
-    f: StepFunction, space: MeasureSpace, kind: NormKind, subdivisions: int
-) -> float:
-    """Midpoint Riemann sum of the selected norm integrand.
-
-    `subdivisions` counts cells per unit length.  The partition is refined at
-    the jump points of the integrand, so the sum is an independent pointwise
-    check of the closed form rather than a victim of jump aliasing.  Supports
-    must be bounded.  It needs numpy, the package's ``oracle`` extra.
-    """
-    try:
-        import numpy as np
-    except ImportError:
-        raise LogSpaceError(
-            'riemann_oracle needs numpy: install the "oracle" extra (pip install "logspaces[oracle]")'
-        ) from None
-
-    if subdivisions < 1:
-        raise LogSpaceError("subdivisions must be >= 1")
-    _check_function_fits(f, space)
-    h1, h2 = _kind_weights(space, kind)
-    total = 0.0
-    for comp, ps, h1c, h2c in zip(space.components, f.pieces, h1, h2):
-        if not ps:
-            continue
-        if math.isinf(ps[-1].stop):
-            raise LogSpaceError("oracle requires bounded support")
-        lo, hi = ps[0].start, ps[-1].stop
-        cuts = {lo, hi}
-        cuts.update(p.start for p in ps)
-        cuts.update(p.stop for p in ps)
-        for pd in (comp.density, h1c, h2c):
-            cuts.update(p.start for p in pd.pieces if lo < p.start < hi)
-            cuts.update(p.stop for p in pd.pieces if lo < p.stop < hi)
-        grid = sorted(cuts)
-        mids_all, widths_all = [], []
-        for u, v in zip(grid, grid[1:]):
-            n = max(1, math.ceil((v - u) * subdivisions))
-            w = (v - u) / n
-            mids_all.append(u + (np.arange(n) + 0.5) * w)
-            widths_all.append(np.full(n, w))
-        xs = np.concatenate(mids_all)
-        ws = np.concatenate(widths_all)
-        vals = _values_on_grid(ps, xs)
-        integrand = _density_on_grid(comp.density, xs) * _density_on_grid(h1c, xs)
-        scaled = _density_on_grid(h2c, xs) * vals
-        total += float(np.dot(ws, integrand * np.log1p(scaled)))
-    return total

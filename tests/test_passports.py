@@ -132,6 +132,24 @@ class TestMeasureSeq:
         with pytest.raises(LogSpaceError):
             FiniteList((1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("CONST", (math.nan,), "c"),
+            ("CONST", (math.inf,), "c"),
+            ("LINEAR", (1.0, math.nan), "b"),
+            ("LINEAR", (math.inf, 0.0), "a"),
+            ("RECIP", (math.nan,), "a"),
+            ("GEOM", (1.0, math.inf), "r"),
+            ("GEOM", (1.0, math.nan), "r"),
+            ("GEOM", (math.inf, 0.5), "a"),
+        ],
+    )
+    def test_non_finite_parameters_are_rejected_by_name(self, kind, params, name):
+        # NaN passes every sign check, so finiteness is checked on its own
+        with pytest.raises(LogSpaceError, match=f"{kind} parameter {name} must be finite"):
+            ClosedForm(kind, params)
+
     def test_geom_with_unit_ratio_is_const(self):
         cf = ClosedForm("GEOM", (2.0, 1.0))
         assert cf == ClosedForm("CONST", (2.0,))
@@ -312,6 +330,14 @@ class TestPassportValidation:
         # implicit second row needs a closed form
         with pytest.raises(LogSpaceError):
             Passport((), None, FiniteList((1.0,)))
+
+    @pytest.mark.parametrize("label", [1.5, 1.0, math.nan, math.inf, True, "1", None])
+    def test_labels_must_be_integers(self, label):
+        # no label is rounded (1.5 is not weight 1) or fails with a raw
+        # ValueError or OverflowError; lists still build (test_values)
+        for rows in (((label,), (), FiniteList(())), ((), (label,), FiniteList((1.0,)))):
+            with pytest.raises(LogSpaceError, match="row labels must be integers"):
+                Passport(*rows)
 
 
 class TestRendering:

@@ -27,6 +27,7 @@ from logspaces import (
     Internal,
     IntervalPiece,
     IsometryReport,
+    LogSpaceError,
     MeasurableSet,
     MeasureSpace,
     Passport,
@@ -252,6 +253,12 @@ def test_constructors_bind_like_functions():
         StepPiece(0, 1, coef=2, other=3)
     with pytest.raises(TypeError):
         StepPiece(0, 1, 2, start=0)
+
+
+@pytest.mark.parametrize("weight", [True, False, 1.0, -1, None])
+def test_component_weight_is_a_non_negative_integer_not_a_bool(weight):
+    with pytest.raises(LogSpaceError, match="weight must be a non-negative integer"):
+        Component(constant_density(0, 1), weight)
 
 
 def test_workspace_is_mutable_and_unhashable():
