@@ -11,7 +11,21 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from .errors import LogSpaceError
+
 _set = object.__setattr__
+
+
+def real(value, name: str) -> float:
+    """`value`, the field `name`, as a float: an int or a float, never a bool or a string."""
+    if value.__class__ is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise LogSpaceError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise LogSpaceError(f"{name} must be finite, got an integer too large for a float") from None
 
 
 class Value:

@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from ._value import Value
+from ._value import Value, real
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum, ext_sum
 
@@ -34,9 +34,9 @@ class IntervalPiece(Value):
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "start", real(self.start, "piece start"))
+        object.__setattr__(self, "stop", real(self.stop, "piece stop"))
+        object.__setattr__(self, "value", real(self.value, "piece value"))
         if math.isnan(self.start) or math.isinf(self.start):
             raise LogSpaceError(f"piece start must be finite, got {self.start!r}")
         if math.isnan(self.stop) or not self.start < self.stop:

@@ -1,11 +1,14 @@
 """The midpoint Riemann-sum oracle: an independent check of the closed-form norms.
 
-This is the one module that uses numpy, an optional dependency (the
-package's ``oracle`` extra).  numpy is imported inside the oracle and its
-grid helpers, so importing this module does not need it, and a missing
-numpy is reported by ``riemann_oracle`` as an error that names the extra.
-The package loads this module only when ``logspaces.riemann_oracle`` is
-first read, so that no command-line call compiles it.
+Its sums come from its own grid; it shares with the closed form only the
+kind weights and the fit check, the norm walk ``_norm_terms``, whose terms
+it discards.  This is the one module that uses numpy, an optional
+dependency (the package's ``oracle`` extra).  numpy is imported inside the
+oracle and its grid helpers, so importing this module does not need it,
+and a missing numpy is reported by ``riemann_oracle`` as an error that
+names the extra.  The package loads this module only when
+``logspaces.riemann_oracle`` is first read, so that no command-line call
+compiles it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import math
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import LogSpaceError
-from .measure import MeasureSpace, PiecewiseDensity
-from .stepfunctions import NormKind, StepFunction, StepPiece, _check_function_fits, _kind_weights
+from .measure import MeasureSpace, PiecewiseDensity, _density_index
+from .stepfunctions import NormKind, StepFunction, StepPiece, _kind_weights, _norm_terms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,7 +65,7 @@ def riemann_oracle(
 
     if subdivisions < 1:
         raise LogSpaceError("subdivisions must be >= 1")
-    _check_function_fits(f, space)
+    _norm_terms(f, _density_index(space))  # the fit check only: the terms are not used
     h1, h2 = _kind_weights(space, kind)
     total = 0.0
     for comp, ps, h1c, h2c in zip(space.components, f.pieces, h1, h2):

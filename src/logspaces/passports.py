@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from ._value import Value
+from ._value import Value, real
 from .errors import LogSpaceError
 from .extreal import ext_sum
 from .measure import MeasureSpace, _weight_groups
@@ -30,7 +30,7 @@ class FiniteList(Value):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple([real(v, "finite measure") for v in self.values]))
         for v in self.values:
             if not v > 0.0 or math.isinf(v):
                 raise LogSpaceError(f"finite measures must be positive and finite, got {v!r}")
@@ -56,24 +56,23 @@ class ClosedForm(Value):
     params: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         names = _CLOSED_FORM_PARAMS.get(self.kind)
         if names is None:
             raise LogSpaceError(f"unknown closed form kind {self.kind!r}")
-        if len(self.params) != len(names):
+        params = tuple(self.params)
+        if len(params) != len(names):
             raise LogSpaceError(f"{self.kind} takes {len(names)} parameter(s)")
-        for name, p in zip(names, self.params):
+        params = tuple([real(p, f"{self.kind} parameter {name}") for name, p in zip(names, params)])
+        object.__setattr__(self, "params", params)
+        for name, p in zip(names, params):
             if not math.isfinite(p):
                 raise LogSpaceError(f"{self.kind} parameter {name} must be finite, got {p!r}")
+        # these two checks leave every CONST, RECIP and GEOM parameter positive
         if self.term(1) <= 0:
-            raise LogSpaceError(f"{self.kind}{self.params} is not positive at i=1")
-        if self.kind in ("LINEAR", "GEOM") and self.params[0] <= 0:
+            raise LogSpaceError(f"{self.kind}{params} is not positive at i=1")
+        if self.kind in ("LINEAR", "GEOM") and params[0] <= 0:
             raise LogSpaceError(f"{self.kind} leading parameter must be > 0")
-        if self.kind in ("CONST", "RECIP") and self.params[0] <= 0:
-            raise LogSpaceError(f"{self.kind} parameter must be > 0")
-        if self.kind == "GEOM" and self.params[1] <= 0:
-            raise LogSpaceError("GEOM ratio must be > 0")
-        if self.kind == "GEOM" and self.params[1] == 1.0:
+        if self.kind == "GEOM" and params[1] == 1.0:
             # a*1**i is the constant a: one sequence, one canonical form
             object.__setattr__(self, "kind", "CONST")
             object.__setattr__(self, "params", self.params[:1])
@@ -240,6 +239,20 @@ def _third_rows_diff(ma: MeasureSeq, mb: MeasureSeq) -> str | None:
     raise LogSpaceError("incomparable sequences")
 
 
+def _passport_diff(p: Passport, q: Passport, rows: int = 3) -> tuple[str, str] | None:
+    """(row, difference) for the first of p's and q's first `rows` rows that differ; None if none does."""
+    for row in ("first", "second", "third")[:rows]:
+        if row == "first":
+            diff = _weight_rows_diff(row, p.row_s, q.row_s)
+        elif row == "second":
+            diff = _weight_rows_diff(row, p.row_u, q.row_u)
+        else:
+            diff = _third_rows_diff(p.row_m, q.row_m)
+        if diff is not None:
+            return row, diff
+    return None
+
+
 def decide_isomorphic_pair(p: Passport, q: Passport) -> Decision:
     """Measure-preserving isomorphism of two all-infinite algebras: first rows.
 
@@ -251,64 +264,44 @@ def decide_isomorphic_pair(p: Passport, q: Passport) -> Decision:
             raise LogSpaceError("hypothesis violated: finite-measure component present")
     homogeneous = len(p.row_s) == 1 and len(q.row_s) == 1
     rule = "single-component-weights" if homogeneous else "infinite-first-rows"
-    diff = _weight_rows_diff("first", p.row_s, q.row_s)
-    if diff is not None:
-        return Decision(False, rule, diff)
-    return Decision(True, rule, "first rows coincide")
+    diff = _passport_diff(p, q, 1)
+    return Decision(diff is None, rule, diff[1] if diff else "first rows coincide")
 
 
 def decide_star_isomorphic(p: Passport, q: Passport) -> Decision:
     """Star-isomorphism of the function algebras: weight rows equal and the
     finite-measure rows have bounded ratios in both directions."""
-    rule = "weight-rows-and-measure-ratios"
-    diff = _weight_rows_diff("first", p.row_s, q.row_s)
-    if diff is None:
-        diff = _weight_rows_diff("second", p.row_u, q.row_u)
+    diff = _passport_diff(p, q, 2)
     if diff is not None:
-        return Decision(False, rule, diff)
-    if not ratio_bounded(p.row_m, q.row_m):
-        return Decision(False, rule, "mu_i/nu_i unbounded")
-    if not ratio_bounded(q.row_m, p.row_m):
-        return Decision(False, rule, "nu_i/mu_i unbounded")
-    return Decision(True, rule, "weight rows coincide and measure ratios are bounded both ways")
+        witness = diff[1]
+    elif not ratio_bounded(p.row_m, q.row_m):
+        witness = "mu_i/nu_i unbounded"
+    elif not ratio_bounded(q.row_m, p.row_m):
+        witness = "nu_i/mu_i unbounded"
+    else:
+        witness = None
+    agreed = "weight rows coincide and measure ratios are bounded both ways"
+    return Decision(witness is None, "weight-rows-and-measure-ratios", witness or agreed)
 
 
-def _external_rule(p: Passport, q: Passport) -> str:
-    def single_finite(x: Passport) -> bool:
-        return not x.row_s and x.row_u is not None and len(x.row_u) == 1
-
-    def single_infinite(x: Passport) -> bool:
-        return len(x.row_s) == 1 and x.row_u is not None and not x.row_u
-
-    def all_infinite(x: Passport) -> bool:
-        return x.row_u is not None and not x.row_u
-
-    if single_finite(p) and single_finite(q):
-        return "single-finite-component"
-    if single_infinite(p) and single_infinite(q):
-        return "single-infinite-component"
-    if all_infinite(p) and all_infinite(q):
-        return "infinite-components-first-rows"
-    return "full-passport-equality"
+# (rule, shape both passports must have, witness when they coincide); the first match names the rule
+_EXTERNAL_RULES = (
+    (
+        "single-finite-component",
+        lambda x: not x.row_s and x.row_u is not None and len(x.row_u) == 1,
+        "weights and total measures coincide",
+    ),
+    ("single-infinite-component", lambda x: len(x.row_s) == 1 and x.row_u == (), "weights coincide"),
+    ("infinite-components-first-rows", lambda x: x.row_u == (), "first rows coincide"),
+    ("full-passport-equality", lambda x: True, "passports coincide"),
+)
 
 
 def decide_isometric_external(p: Passport, q: Passport) -> Decision:
     """Isometry of the plain log-norm spaces: all three rows must coincide."""
-    rule = _external_rule(p, q)
-    diff = _weight_rows_diff("first", p.row_s, q.row_s)
-    if diff is None:
-        diff = _weight_rows_diff("second", p.row_u, q.row_u)
-    if diff is None:
-        diff = _third_rows_diff(p.row_m, q.row_m)
-    if diff is not None:
-        return Decision(False, rule, diff)
-    witnesses = {
-        "single-finite-component": "weights and total measures coincide",
-        "single-infinite-component": "weights coincide",
-        "infinite-components-first-rows": "first rows coincide",
-        "full-passport-equality": "passports coincide",
-    }
-    return Decision(True, rule, witnesses[rule])
+    rule, witness = next((r, w) for r, shape, w in _EXTERNAL_RULES if shape(p) and shape(q))
+    diff = _passport_diff(p, q)
+    return Decision(diff is None, rule, diff[1] if diff else witness)
 
 
 def decide_isometric_generalized(p1: Passport, p3: Passport) -> Decision:
@@ -317,16 +310,11 @@ def decide_isometric_generalized(p1: Passport, p3: Passport) -> Decision:
     Weight-row equality is taken as the same-algebra check; passports whose
     weight rows differ are not comparable under this rule at all.
     """
-    if _weight_rows_diff("first", p1.row_s, p3.row_s) is not None or _weight_rows_diff(
-        "second", p1.row_u, p3.row_u
-    ) is not None:
+    diff = _passport_diff(p1, p3)
+    if diff is not None and diff[0] != "third":
         raise LogSpaceError("hypothesis violated: different underlying algebra")
-    diff = _third_rows_diff(p1.row_m, p3.row_m)
-    if diff is not None:
-        return Decision(False, "third-rows", diff)
-    return Decision(
-        True, "third-rows", "third rows coincide (weight-row equality taken as the same-algebra check)"
-    )
+    agreed = "third rows coincide (weight-row equality taken as the same-algebra check)"
+    return Decision(diff is None, "third-rows", diff[1] if diff else agreed)
 
 
 def render_passport(p: Passport) -> str:

@@ -18,7 +18,7 @@ Norm kinds:
 All three are evaluated exactly in closed form on the common refinement of
 the pieces involved.  The independent brute-force check, ``riemann_oracle``,
 lives in ``logspaces.oracle``, the one module that uses numpy; it shares
-``_kind_weights`` and ``_check_function_fits`` with the closed form.
+``_kind_weights`` and the fit check, ``_norm_terms``, with the closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable
 
-from ._value import Value
+from ._value import Value, real
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
@@ -59,8 +59,8 @@ class StepPiece(Value):
     coef: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
+        object.__setattr__(self, "start", real(self.start, "step piece start"))
+        object.__setattr__(self, "stop", real(self.stop, "step piece stop"))
         object.__setattr__(self, "coef", complex(self.coef))
         if not (-math.inf < self.start < self.stop and cmath.isfinite(self.coef)):
             raise _bad_piece(self.start, self.stop, self.coef)
@@ -211,8 +211,6 @@ def scale(f: StepFunction, alpha: complex) -> StepFunction:
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise LogSpaceError(f"scale factor must be finite, got {alpha!r}")
-    if alpha == 0:
-        return StepFunction(((),) * len(f.pieces))
     return _wrap(
         tuple([_from_cells([(p.start, p.stop, alpha * p.coef) for p in ps]) for ps in f.pieces])
     )
@@ -270,18 +268,6 @@ def _kind_weights(space: MeasureSpace, kind: NormKind) -> tuple[SpaceDensity, Sp
     raise LogSpaceError(f"unknown norm kind {kind!r}")
 
 
-def _check_function_fits(f: StepFunction, space: MeasureSpace) -> None:
-    if len(f.pieces) != len(space.components):
-        raise LogSpaceError("function/space mismatch")
-    for comp, ps in zip(space.components, f.pieces):
-        if ps and not comp.realizable:
-            raise LogSpaceError("symbolic component")
-        if ps:
-            lo, hi = comp.carrier
-            if ps[0].start < lo or ps[-1].stop > hi:
-                raise LogSpaceError("out of carrier")
-
-
 def _cell_table(space: MeasureSpace, kind: NormKind) -> _CellTable:
     """The cells of (space, kind), kept on the space.
 
@@ -309,24 +295,22 @@ def _cell_table(space: MeasureSpace, kind: NormKind) -> _CellTable:
     return slot[1]
 
 
-def _norm_terms(f: StepFunction, space: MeasureSpace, kind: NormKind) -> list[float] | None:
-    """Closed-form cell terms; None signals an infinite norm.
+def _norm_terms(f: StepFunction, table: _CellTable) -> list[float] | None:
+    """Closed-form cell terms of f on a compiled cell table; None signals an infinite norm.
+
+    The walk is also the one check that f fits the space: "function/space
+    mismatch", then per component "symbolic component" or "out of carrier",
+    read off the table's first and last cells.  Every component is checked,
+    also those after an unbounded piece.
 
     Each cell contributes weight * log1p(scaled) where weight folds the cell
     length, the space density and h1, and scaled is h2 * |coefficient|.
     Every step piece bisects into the compiled cells of its component and
     is clipped to the cells it overlaps: O(P log D + cells) per component
     for P step pieces and D density pieces, once the table is compiled.
-    The table's first and last cells check that f fits the space, with the
-    errors of ``_check_function_fits`` in its order.
     """
-    if len(f.pieces) != len(space.components):
+    if len(f.pieces) != len(table):
         raise LogSpaceError("function/space mismatch")
-    try:
-        table = _cell_table(space, kind)
-    except LogSpaceError:
-        _check_function_fits(f, space)  # a misfit function is reported before the kind
-        raise
     inf, log1p = math.inf, math.log1p
     terms: list[float] = []
     infinite = False
@@ -361,8 +345,15 @@ def log_norm(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) ->
     Infinite exactly when a nonzero coefficient sits on an unbounded piece;
     otherwise the closed-form piece sum.  A bounded support whose sum (or one
     cell of it) exceeds the float range is rejected, not reported infinite.
+    A misfit f is reported before a misfit kind: f is walked on the density
+    index, which every space has, before the kind's error is re-raised.
     """
-    terms = _norm_terms(f, space, kind)
+    try:
+        table = _cell_table(space, kind)
+    except LogSpaceError:
+        _norm_terms(f, _density_index(space))
+        raise
+    terms = _norm_terms(f, table)
     if terms is None:
         return INF
     return ext_fsum(terms, "norm of a bounded support")

@@ -48,7 +48,7 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from ._value import Value
+from ._value import Value, real
 from .errors import LogSpaceError
 from .extreal import ExtendedReal
 from .measure import (
@@ -88,7 +88,7 @@ class AffinePiece(Value):
     def __post_init__(self):
         # the lift hands image ends to the step-function builder, which takes floats
         for name in self.__slots__:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, real(getattr(self, name), f"affine piece {name}"))
         if not self.start < self.stop:
             raise LogSpaceError("affine piece must satisfy start < stop")
         if not self.slope > 0.0:

@@ -10,9 +10,10 @@ a rejected input must raise the same ``LogSpaceError`` message.
 
 The inputs reach the cases the builder must keep: products that underflow to
 zero, neighbours that round equal after scaling, and products that overflow.
-The norm's table-based fit check is compared with the parent's per-call
-``_check_function_fits`` on spaces with symbolic, too-short and missing
-components.
+The norm walk, which is also the package's one check that a function fits
+a space, is compared with a per-component reference check on spaces with
+symbolic, too-short and missing components; the oracle, which borrows that
+walk for its own fit check, must raise the same errors.
 """
 
 import cmath
@@ -37,6 +38,7 @@ from logspaces import (
     lift,
     log_norm,
     multiply,
+    riemann_oracle,
     scale,
     transport_between_spaces,
     weighting_isometry,
@@ -149,7 +151,7 @@ def reference_check_function_fits(f, space):
 
 
 def reference_log_norm(f, space, kind):
-    reference_check_function_fits(f, space)  # before the kind, as the parent did
+    reference_check_function_fits(f, space)  # a misfit function is reported before the kind
     return log_norm(f, space, kind)
 
 
@@ -311,7 +313,12 @@ def _misfit(rng, space, f):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_norm_fit_check_matches_check_function_fits(seed):
+def test_norm_and_oracle_fit_checks_match_the_reference(seed):
+    """log_norm agrees with the reference everywhere; riemann_oracle raises its errors.
+
+    The oracle is compared only where the reference rejects f or the kind,
+    before any sum; a norm sum that overflows is the closed form's own error.
+    """
     rng = random.Random(seed)
     space = random_space(rng, 3, unbounded_prob=0.5)
     f = random_step_function(rng, space, max_pieces=rng.randint(1, 8))
@@ -325,7 +332,10 @@ def test_norm_fit_check_matches_check_function_fits(seed):
     kinds = [random_kind(rng, rng.choice([space, other]))]
     kinds.append(kinds[0])  # the second call hits the stored table
     for kind in kinds:
-        assert _outcome(log_norm, f, other, kind) == _outcome(reference_log_norm, f, other, kind)
+        expected = _outcome(reference_log_norm, f, other, kind)
+        assert _outcome(log_norm, f, other, kind) == expected
+        if isinstance(expected, tuple) and not expected[1].endswith("overflows a float"):
+            assert _outcome(riemann_oracle, f, other, kind, 10) == expected
 
 
 UNIT = interval_space(0, 1)

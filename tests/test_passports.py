@@ -133,6 +133,24 @@ class TestMeasureSeq:
             FiniteList((1.0, 0.0))
 
     @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("CONST", (0.0,), "CONST(0.0,) is not positive at i=1"),
+            ("RECIP", (-1.0,), "RECIP(-1.0,) is not positive at i=1"),
+            ("GEOM", (1.0, -2.0), "GEOM(1.0, -2.0) is not positive at i=1"),
+            ("GEOM", (-1.0, -2.0), "GEOM leading parameter must be > 0"),
+        ],
+    )
+    def test_non_positive_parameters_are_rejected_by_the_first_term_or_the_leading_sign(
+        self, kind, params, message
+    ):
+        # a non-positive CONST or RECIP parameter, or GEOM ratio, makes term(1) or
+        # the leading parameter non-positive; no later check is reached
+        with pytest.raises(LogSpaceError) as err:
+            ClosedForm(kind, params)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "kind, params, name",
         [
             ("CONST", (math.nan,), "c"),

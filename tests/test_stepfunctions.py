@@ -92,6 +92,13 @@ class TestCanonicalForm:
         with pytest.raises(LogSpaceError, match="step coefficient must be finite"):
             scale(step(UNIT, (0, 0.0, 0.5, 1e300)), 1e300)
 
+    def test_scaling_by_zero_gives_the_zero_function(self):
+        space = MeasureSpace((Component(constant_density(0, 1)), Component(constant_density(2, 3))))
+        f = step(space, (0, 0.0, 0.5, 2), (1, 2.5, 3.0, -1j))
+        zero = StepFunction.zero(space)
+        for g in (scale(f, 0), scale(f, -0.0), scale(f, 0j), 0 * f, f * 0.0):
+            assert g == zero and g.is_zero
+
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0.01, 1.0)), max_size=6))
     def test_from_pieces_is_idempotent(self, raw):
         specs = []

@@ -261,6 +261,43 @@ def test_component_weight_is_a_non_negative_integer_not_a_bool(weight):
         Component(constant_density(0, 1), weight)
 
 
+# (constructor, field name in the message) for every record whose real fields
+# are read by one shared reader; each is called with one field replaced
+NUMBER_FIELDS = [
+    (lambda v: IntervalPiece(v, 1, 1), "piece start"),
+    (lambda v: IntervalPiece(0, v, 1), "piece stop"),
+    (lambda v: IntervalPiece(0, 1, v), "piece value"),
+    (lambda v: StepPiece(v, 1, 1), "step piece start"),
+    (lambda v: StepPiece(0, v, 1), "step piece stop"),
+    (lambda v: FiniteList((1.0, v)), "finite measure"),
+    (lambda v: ClosedForm("CONST", (v,)), "CONST parameter c"),
+    (lambda v: ClosedForm("GEOM", (1.0, v)), "GEOM parameter r"),
+    (lambda v: AffinePiece(v, 1, 1, 0, 0, 1), "affine piece start"),
+    (lambda v: AffinePiece(0, 1, 1, 0, 0, v), "affine piece image_stop"),
+]
+
+
+@pytest.mark.parametrize("build, name", NUMBER_FIELDS)
+@pytest.mark.parametrize("value", ["2", True, False, None, 1j])
+def test_real_fields_reject_strings_and_bools_by_name(build, name, value):
+    with pytest.raises(LogSpaceError, match=f"^{name} must be a real number, got {value!r}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("build, name", NUMBER_FIELDS)
+def test_real_fields_reject_integers_too_large_for_a_float(build, name):
+    with pytest.raises(LogSpaceError, match=f"^{name} must be finite, got an integer too large for a float$"):
+        build(10**400)
+
+
+def test_real_fields_take_integers_as_floats():
+    assert IntervalPiece(0, 1, 2) == IntervalPiece(0.0, 1.0, 2.0)
+    assert FiniteList((3,)).values == (3.0,)
+    assert ClosedForm("LINEAR", (2, 1)).params == (2.0, 1.0)
+    assert StepPiece(0, 1, 2) == StepPiece(0.0, 1.0, 2 + 0j)
+    assert type(AffinePiece(0, 1, 2, 0, 0, 2).slope) is float
+
+
 def test_workspace_is_mutable_and_unhashable():
     ws = Workspace()
     with pytest.raises(TypeError):
