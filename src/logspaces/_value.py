@@ -20,10 +20,22 @@ def real(value, name: str) -> float:
     """`value`, the field `name`, as a float: an int or a float, never a bool or a string."""
     if value.__class__ is float:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise LogSpaceError(f"{name} must be a real number, got {value!r}")
+    return _read_number(value, name, (int, float), float, "a real number")
+
+
+def coefficient(value, name: str) -> complex:
+    """`value`, the field `name`, as a complex: an int, a float or a complex, never a bool or a string."""
+    if value.__class__ is complex or value.__class__ is float:
+        return complex(value)
+    return _read_number(value, name, (int, float, complex), complex, "a number")
+
+
+def _read_number(value, name: str, types: tuple, convert, what: str):
+    """convert(value) if value is one of types, but not a bool; the fast paths above skip this."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise LogSpaceError(f"{name} must be {what}, got {value!r}")
     try:
-        return float(value)
+        return convert(value)
     except OverflowError:
         raise LogSpaceError(f"{name} must be finite, got an integer too large for a float") from None
 

@@ -13,7 +13,6 @@ import argparse
 import sys
 
 from .errors import LogSpaceError
-from .extreal import ExtendedReal
 from .passports import (
     build_passport,
     decide_isometric_external,
@@ -29,10 +28,6 @@ from .workspace import Workspace, load_workspace
 _DEVIATION_LIMIT = 1e-9
 
 
-def _norm_text(value: ExtendedReal) -> str:
-    return "inf" if not value.is_finite else format_real(value.value)
-
-
 def _named(table: dict, name: str):
     if name not in table:
         raise LogSpaceError(f"unknown name: {name}")
@@ -40,7 +35,7 @@ def _named(table: dict, name: str):
 
 
 def _require_space(ws: Workspace, key: str = "space"):
-    space = ws.space if key == "space" else ws.space2
+    space = getattr(ws, key)
     if space is None:
         raise LogSpaceError(f'workspace has no "{key}"')
     return space
@@ -68,7 +63,7 @@ def _cmd_norm(ws: Workspace, args) -> int:
         if args.h1 is None or args.h2 is None:
             raise LogSpaceError("kind generalized requires --h1 and --h2")
         kind = Generalized(_named(ws.densities, args.h1), _named(ws.densities, args.h2))
-    print(f"norm = {_norm_text(log_norm(f, space, kind))}")
+    print(f"norm = {format_real(log_norm(f, space, kind).value)}")
     return 0
 
 
@@ -85,17 +80,13 @@ _RELATIONS = {
 }
 
 
+def _passport(ws: Workspace, name: str | None, key: str):
+    """The passport called name, or else the passport of the workspace's space key."""
+    return build_passport(_require_space(ws, key)) if name is None else _named(ws.passports, name)
+
+
 def _cmd_decide(ws: Workspace, args) -> int:
-    left = (
-        _named(ws.passports, args.left)
-        if args.left is not None
-        else build_passport(_require_space(ws, "space"))
-    )
-    right = (
-        _named(ws.passports, args.right)
-        if args.right is not None
-        else build_passport(_require_space(ws, "space2"))
-    )
+    left, right = _passport(ws, args.left, "space"), _passport(ws, args.right, "space2")
     decision = _RELATIONS[args.relation](left, right)
     print(f"verdict = {'true' if decision.verdict else 'false'}")
     print(f"rule = {decision.rule}")

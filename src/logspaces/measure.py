@@ -13,6 +13,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
@@ -171,14 +172,22 @@ def interval_space(start: float, stop: float, dens: float = 1.0) -> MeasureSpace
 class MeasurableSet(Value):
     """Finite union of half-open subintervals, tagged by component index.
 
-    parts are (component, start, stop) triples; they are sorted at
-    construction and must be disjoint within each component.
+    parts are (component, start, stop) triples: an int index (not a bool)
+    and two real bounds.  They are sorted at construction and must be
+    disjoint within each component.
     """
 
     parts: tuple[tuple[int, float, float], ...]
 
     def __post_init__(self):
-        norm = tuple(sorted((int(c), float(a), float(b)) for c, a, b in self.parts))
+        parts = []
+        for c, a, b in self.parts:
+            # a plain int passes on the first test: every transport_set result is built here
+            if c.__class__ is not int and (isinstance(c, bool) or not isinstance(c, int)):
+                raise LogSpaceError(f"component index must be an integer, got {c!r}")
+            parts.append((c, real(a, "subinterval start"), real(b, "subinterval stop")))
+        parts.sort()
+        norm = tuple(parts)
         object.__setattr__(self, "parts", norm)
         prev: tuple[int, float] | None = None
         for c, a, b in norm:
@@ -325,6 +334,15 @@ def _check_same_algebra(nu: MeasureSpace, mu: MeasureSpace) -> None:
             raise LogSpaceError("different underlying algebra")
 
 
+def _combined(pairs: Iterable[tuple[PiecewiseDensity, PiecewiseDensity]], op) -> list[PiecewiseDensity]:
+    """op of the two values on each cell of each pair's common refinement."""
+    out = []
+    for p, q in pairs:
+        cells = refine(p.pieces, q.pieces)
+        out.append(PiecewiseDensity(tuple([IntervalPiece(a, b, op(x, y)) for a, b, (x, y) in cells])))
+    return out
+
+
 def rn_derivative(nu: MeasureSpace, mu: MeasureSpace) -> SpaceDensity:
     """Density of nu with respect to mu, one piecewise function per component.
 
@@ -332,28 +350,15 @@ def rn_derivative(nu: MeasureSpace, mu: MeasureSpace) -> SpaceDensity:
     positive because both densities are.
     """
     _check_same_algebra(nu, mu)
-    out = []
-    for cn, cm in zip(nu.components, mu.components):
-        cells = refine(cn.density.pieces, cm.density.pieces)
-        out.append(
-            PiecewiseDensity(tuple(IntervalPiece(a, b, vn / vm) for a, b, (vn, vm) in cells))
-        )
-    return tuple(out)
+    pairs = [(cn.density, cm.density) for cn, cm in zip(nu.components, mu.components)]
+    return tuple(_combined(pairs, operator.truediv))
 
 
 def reweight(space: MeasureSpace, h: SpaceDensity) -> MeasureSpace:
     """The space whose density is (component density) * h: d(nu) = h d(mu)."""
     _check_density_fits(space, h)
-    comps = []
-    for comp, hc in zip(space.components, h):
-        cells = refine(comp.density.pieces, hc.pieces)
-        comps.append(
-            Component(
-                PiecewiseDensity(tuple(IntervalPiece(a, b, v * w) for a, b, (v, w) in cells)),
-                comp.weight,
-            )
-        )
-    return MeasureSpace(tuple(comps))
+    dens = _combined([(c.density, hc) for c, hc in zip(space.components, h)], operator.mul)
+    return MeasureSpace(tuple([Component(d, c.weight) for c, d in zip(space.components, dens)]))
 
 
 def integrate_piecewise(

@@ -15,6 +15,7 @@ an in-memory space.
 from __future__ import annotations
 
 import math
+from math import log
 from typing import Union
 
 from ._value import Value, real
@@ -42,11 +43,23 @@ class FiniteList(Value):
         return self.values[i - 1]
 
 
-_CLOSED_FORM_PARAMS = {"CONST": ("c",), "LINEAR": ("a", "b"), "RECIP": ("a",), "GEOM": ("a", "r")}
+# kind: (parameter names, mu_i, log mu_i, (growth class, tie key)), each a
+# function of i and the parameters, or of the parameters alone
+_CLOSED_FORMS = {
+    "CONST": (("c",), lambda i, c: c, lambda i, c: log(c), lambda c: (2, 0.0)),
+    "LINEAR": (("a", "b"), lambda i, a, b: a * i + b, lambda i, a, b: log(a * i + b), lambda a, b: (3, 0.0)),
+    "RECIP": (("a",), lambda i, a: a / i, lambda i, a: log(a) - log(i), lambda a: (1, 0.0)),
+    "GEOM": (
+        ("a", "r"),
+        lambda i, a, r: a * r**i,
+        lambda i, a, r: log(a) + i * log(r),
+        lambda a, r: (0 if r < 1.0 else 4, r),
+    ),
+}
 
 
 class ClosedForm(Value):
-    """Symbolic measure sequence mu_i for i >= 1.
+    """Symbolic measure sequence mu_i for i >= 1, one row of ``_CLOSED_FORMS``.
 
     CONST(c): c          LINEAR(a, b): a*i + b (a > 0)
     RECIP(a): a/i        GEOM(a, r):   a*r**i (a > 0, r > 0)
@@ -56,9 +69,10 @@ class ClosedForm(Value):
     params: tuple[float, ...]
 
     def __post_init__(self):
-        names = _CLOSED_FORM_PARAMS.get(self.kind)
-        if names is None:
+        row = _CLOSED_FORMS.get(self.kind)
+        if row is None:
             raise LogSpaceError(f"unknown closed form kind {self.kind!r}")
+        names = row[0]
         params = tuple(self.params)
         if len(params) != len(names):
             raise LogSpaceError(f"{self.kind} takes {len(names)} parameter(s)")
@@ -78,36 +92,15 @@ class ClosedForm(Value):
             object.__setattr__(self, "params", self.params[:1])
 
     def term(self, i: int) -> float:
-        a = self.params[0]
-        if self.kind == "CONST":
-            return a
-        if self.kind == "LINEAR":
-            return a * i + self.params[1]
-        if self.kind == "RECIP":
-            return a / i
-        return a * self.params[1] ** i
+        return _CLOSED_FORMS[self.kind][1](i, *self.params)
 
     def log_term(self, i: int) -> float:
         """log(mu_i); overflow-safe for large indices."""
-        a = self.params[0]
-        if self.kind == "CONST":
-            return math.log(a)
-        if self.kind == "LINEAR":
-            return math.log(a * i + self.params[1])
-        if self.kind == "RECIP":
-            return math.log(a) - math.log(i)
-        return math.log(a) + i * math.log(self.params[1])
+        return _CLOSED_FORMS[self.kind][2](i, *self.params)
 
     def growth(self) -> tuple[int, float]:
         """(growth class, tie key): DECAY < RECIP < CONST < LINEAR < exponential."""
-        if self.kind == "RECIP":
-            return (1, 0.0)
-        if self.kind == "CONST":
-            return (2, 0.0)
-        if self.kind == "LINEAR":
-            return (3, 0.0)
-        r = self.params[1]
-        return (0, r) if r < 1.0 else (4, r)
+        return _CLOSED_FORMS[self.kind][3](*self.params)
 
 
 MeasureSeq = Union[FiniteList, ClosedForm]
@@ -212,7 +205,7 @@ def _weight_rows_diff(name: str, ra: tuple[int, ...] | None, rb: tuple[int, ...]
 
 
 def _closed_form_text(cf: ClosedForm) -> str:
-    names = _CLOSED_FORM_PARAMS[cf.kind]
+    names = _CLOSED_FORMS[cf.kind][0]
     return cf.kind + "".join(f" {n}={format_real(p)}" for n, p in zip(names, cf.params))
 
 

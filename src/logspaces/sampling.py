@@ -26,6 +26,10 @@ from .stepfunctions import EXTERNAL, Generalized, Internal, NormKind, StepFuncti
 # functions and sets are drawn on [start, start + _WINDOW) of every carrier,
 # bounded or not; an unbounded carrier's density breakpoints fall there too
 _WINDOW = 4.0
+# a drawn density has 0.._MAX_CUTS interior cuts, and its values are
+# uniform in _DENSITY_RANGE unless a caller asks for another range
+_MAX_CUTS = 3
+_DENSITY_RANGE = (0.25, 4.0)
 
 
 def _interior_cuts(rng: random.Random, lo: float, hi: float, n: int) -> list[float]:
@@ -42,16 +46,20 @@ def _pieces_on(
     rng: random.Random,
     lo: float,
     hi: float,
-    max_cuts: int,
     value_range: tuple[float, float],
 ) -> tuple[IntervalPiece, ...]:
     """Positive pieces tiling [lo, hi); hi may be inf (cuts stay in a window)."""
     cut_hi = lo + _WINDOW if math.isinf(hi) else hi
-    bounds = [lo] + _interior_cuts(rng, lo, cut_hi, rng.randint(0, max_cuts)) + [hi]
+    bounds = [lo] + _interior_cuts(rng, lo, cut_hi, rng.randint(0, _MAX_CUTS)) + [hi]
     vlo, vhi = value_range
     return tuple(
         IntervalPiece(a, b, rng.uniform(vlo, vhi)) for a, b in zip(bounds, bounds[1:])
     )
+
+
+def _drawn_component(rng: random.Random, start: float, stop: float) -> Component:
+    """Weight-0 component on [start, stop) with a drawn density."""
+    return Component(PiecewiseDensity(_pieces_on(rng, start, stop, _DENSITY_RANGE)))
 
 
 def random_space(
@@ -68,7 +76,7 @@ def random_space(
             stop = math.inf
         else:
             stop = start + rng.uniform(0.5, 3.0)
-        comps.append(Component(PiecewiseDensity(_pieces_on(rng, start, stop, 3, (0.25, 4.0)))))
+        comps.append(_drawn_component(rng, start, stop))
     return MeasureSpace(tuple(comps))
 
 
@@ -77,11 +85,11 @@ def random_bounded_space(rng: random.Random, max_components: int = 2) -> Measure
 
 
 def random_density(
-    rng: random.Random, space: MeasureSpace, value_range: tuple[float, float] = (0.25, 4.0)
+    rng: random.Random, space: MeasureSpace, value_range: tuple[float, float] = _DENSITY_RANGE
 ) -> SpaceDensity:
     """Strictly positive piecewise density covering every component carrier."""
     return tuple(
-        PiecewiseDensity(_pieces_on(rng, c.carrier[0], c.carrier[1], 3, value_range))
+        PiecewiseDensity(_pieces_on(rng, c.carrier[0], c.carrier[1], value_range))
         for c in space.components
     )
 
@@ -142,7 +150,7 @@ def _component_with_mass(rng: random.Random, mass: float) -> Component:
     """Bounded weight-0 component whose total measure is `mass` up to rounding."""
     start = rng.uniform(-4.0, 4.0)
     stop = start + rng.uniform(0.5, 3.0)
-    pieces = _pieces_on(rng, start, stop, 3, (0.25, 4.0))
+    pieces = _drawn_component(rng, start, stop).density.pieces
     actual = math.fsum(p.length * p.value for p in pieces)
     s = mass / actual
     return Component(PiecewiseDensity(tuple(IntervalPiece(p.start, p.stop, p.value * s) for p in pieces)))
@@ -157,10 +165,7 @@ def equal_passport_partner(rng: random.Random, src: MeasureSpace) -> MeasureSpac
         # infinite group: any finite prefix plus one unbounded tail matches
         if rng.random() < 0.5:
             comps.append(_component_with_mass(rng, rng.uniform(0.5, 2.0)))
-        start = rng.uniform(-4.0, 4.0)
-        comps.append(
-            Component(PiecewiseDensity(_pieces_on(rng, start, math.inf, 3, (0.25, 4.0))))
-        )
+        comps.append(_drawn_component(rng, rng.uniform(-4.0, 4.0), math.inf))
     else:
         n = rng.randint(1, 2)
         weights = [rng.uniform(0.2, 1.0) for _ in range(n)]
@@ -184,8 +189,5 @@ def random_matched_components_pair(rng: random.Random) -> tuple[MeasureSpace, Me
         if c.measure().is_finite:
             comps.append(_component_with_mass(rng, c.measure().value))
         else:
-            start = rng.uniform(-4.0, 4.0)
-            comps.append(
-                Component(PiecewiseDensity(_pieces_on(rng, start, math.inf, 3, (0.25, 4.0))))
-            )
+            comps.append(_drawn_component(rng, rng.uniform(-4.0, 4.0), math.inf))
     return src, MeasureSpace(tuple(comps))

@@ -29,7 +29,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable
 
-from ._value import Value, real
+from ._value import Value, coefficient, real
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
@@ -61,7 +61,7 @@ class StepPiece(Value):
     def __post_init__(self):
         object.__setattr__(self, "start", real(self.start, "step piece start"))
         object.__setattr__(self, "stop", real(self.stop, "step piece stop"))
-        object.__setattr__(self, "coef", complex(self.coef))
+        object.__setattr__(self, "coef", coefficient(self.coef, "step coefficient"))
         if not (-math.inf < self.start < self.stop and cmath.isfinite(self.coef)):
             raise _bad_piece(self.start, self.stop, self.coef)
 
@@ -110,9 +110,13 @@ def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiec
 _bounds = operator.itemgetter(0, 1)
 
 
-def _canonical(raw: Iterable[tuple[float, float, complex]]) -> tuple[StepPiece, ...]:
-    """``_from_cells`` of (start, stop, coef) entries in any order; zero-length ones are dropped."""
-    cells = [(float(a), float(b), complex(c)) for a, b, c in raw if a != b]
+def _canonical(raw: Iterable[tuple[float, float, object]]) -> tuple[StepPiece, ...]:
+    """``_from_cells`` of (start, stop, coef) entries with float bounds, in any order.
+
+    Every coefficient is read as a number, and then zero-length entries are dropped.
+    """
+    cells = [(a, b, coefficient(c, "step coefficient")) for a, b, c in raw]
+    cells = [cell for cell in cells if cell[0] != cell[1]]
     cells.sort(key=_bounds)
     return _from_cells(cells)
 
@@ -149,12 +153,13 @@ class StepFunction(Value):
         """Build and canonicalize from (component, start, stop, coef) entries."""
         per: list[list[tuple[float, float, complex]]] = [[] for _ in space.components]
         for comp, a, b, c in specs:
-            if not 0 <= comp < len(space.components):
+            if isinstance(comp, bool) or not isinstance(comp, int) or not 0 <= comp < len(per):
                 raise LogSpaceError(f"component index {comp} out of range")
             component = space.components[comp]
             if not component.realizable:
                 raise LogSpaceError("symbolic component")
             lo, hi = component.carrier
+            a, b = real(a, "step piece start"), real(b, "step piece stop")
             if a < lo or b > hi:
                 raise LogSpaceError("out of carrier")
             per[comp].append((a, b, c))
@@ -208,7 +213,7 @@ def multiply(f: StepFunction, g: StepFunction) -> StepFunction:
 
 
 def scale(f: StepFunction, alpha: complex) -> StepFunction:
-    alpha = complex(alpha)
+    alpha = coefficient(alpha, "scale factor")
     if not cmath.isfinite(alpha):
         raise LogSpaceError(f"scale factor must be finite, got {alpha!r}")
     return _wrap(

@@ -248,6 +248,15 @@ def _space_to_json(space: MeasureSpace) -> list:
     ]
 
 
+def _piece_rows(per_component, values) -> list:
+    """One row per piece of each component: its index, the piece's bounds, then values(piece)."""
+    return [
+        {"component": i, "from": p.start, "to": _endpoint(p.stop), **values(p)}
+        for i, pieces in enumerate(per_component)
+        for p in pieces
+    ]
+
+
 def emit_workspace(ws: Workspace) -> str:
     """Deterministic JSON text; parsing it back reproduces the workspace."""
     doc: dict = {}
@@ -257,26 +266,12 @@ def emit_workspace(ws: Workspace) -> str:
         doc["space2"] = _space_to_json(ws.space2)
     if ws.functions:
         doc["functions"] = {
-            name: [
-                {
-                    "component": i,
-                    "from": p.start,
-                    "to": _endpoint(p.stop),
-                    "re": p.coef.real,
-                    "im": p.coef.imag,
-                }
-                for i, ps in enumerate(f.pieces)
-                for p in ps
-            ]
+            name: _piece_rows(f.pieces, lambda p: {"re": p.coef.real, "im": p.coef.imag})
             for name, f in ws.functions.items()
         }
     if ws.densities:
         doc["densities"] = {
-            name: [
-                {"component": i, "from": p.start, "to": _endpoint(p.stop), "value": p.value}
-                for i, pd in enumerate(d)
-                for p in pd.pieces
-            ]
+            name: _piece_rows([pd.pieces for pd in d], lambda p: {"value": p.value})
             for name, d in ws.densities.items()
         }
     if ws.passports:

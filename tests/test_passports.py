@@ -17,10 +17,13 @@ from logspaces import (
     decide_isomorphic_pair,
     decide_star_isomorphic,
     density,
+    emit_workspace,
     interval_space,
+    parse_workspace,
     ratio_bounded,
     render_passport,
 )
+from logspaces.workspace import Workspace
 
 
 def halfline_component(weight=0, dens=1.0):
@@ -167,6 +170,26 @@ class TestMeasureSeq:
         # NaN passes every sign check, so finiteness is checked on its own
         with pytest.raises(LogSpaceError, match=f"{kind} parameter {name} must be finite"):
             ClosedForm(kind, params)
+
+    @pytest.mark.parametrize(
+        "cf, text, log_10, growth",
+        [
+            (ClosedForm("CONST", (2.5,)), "CONST c=2.5", math.log(2.5), (2, 0.0)),
+            (ClosedForm("LINEAR", (2.0, -1.0)), "LINEAR a=2 b=-1", math.log(19.0), (3, 0.0)),
+            (ClosedForm("RECIP", (0.5,)), "RECIP a=0.5", math.log(0.5) - math.log(10), (1, 0.0)),
+            (ClosedForm("GEOM", (3.0, 0.5)), "GEOM a=3 r=0.5", math.log(3.0) + 10 * math.log(0.5), (0, 0.5)),
+            (ClosedForm("GEOM", (1.5, 2.0)), "GEOM a=1.5 r=2", math.log(1.5) + 10 * math.log(2.0), (4, 2.0)),
+        ],
+    )
+    def test_every_kind_renders_and_round_trips_through_a_workspace(self, cf, text, log_10, growth):
+        assert cf.log_term(10) == log_10
+        assert cf.growth() == growth
+        p = Passport(row_u=None, row_m=cf)
+        assert render_passport(p) == f"s:\nu: 0 1 2 ...\nm: {text}"
+        ws = Workspace(passports={"P": p})
+        again = parse_workspace(emit_workspace(ws))
+        assert again.passports == {"P": p}
+        assert emit_workspace(again) == emit_workspace(ws)
 
     def test_geom_with_unit_ratio_is_const(self):
         cf = ClosedForm("GEOM", (2.0, 1.0))

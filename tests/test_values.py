@@ -10,6 +10,7 @@ ordered one.
 
 import math
 import pickle
+import re
 
 import pytest
 
@@ -39,6 +40,7 @@ from logspaces import (
     finite,
     interval_space,
     log_norm,
+    scale,
 )
 from logspaces.workspace import Workspace
 
@@ -274,6 +276,10 @@ NUMBER_FIELDS = [
     (lambda v: ClosedForm("GEOM", (1.0, v)), "GEOM parameter r"),
     (lambda v: AffinePiece(v, 1, 1, 0, 0, 1), "affine piece start"),
     (lambda v: AffinePiece(0, 1, 1, 0, 0, v), "affine piece image_stop"),
+    (lambda v: MeasurableSet(((0, v, 1),)), "subinterval start"),
+    (lambda v: MeasurableSet(((0, 0, v),)), "subinterval stop"),
+    (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, v, 1, 1)]), "step piece start"),
+    (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, 0, v, 1)]), "step piece stop"),
 ]
 
 
@@ -290,12 +296,59 @@ def test_real_fields_reject_integers_too_large_for_a_float(build, name):
         build(10**400)
 
 
+# (constructor, field name in the message) for every complex coefficient,
+# read by the one coefficient reader
+COEFFICIENT_FIELDS = [
+    (lambda v: StepPiece(0, 1, v), "step coefficient"),
+    (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, 0, 1, v)]), "step coefficient"),
+    (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, 1, 1, v)]), "step coefficient"),
+    (lambda v: scale(StepFunction.from_pieces(interval_space(0, 2), [(0, 0, 1, 1)]), v), "scale factor"),
+]
+
+
+@pytest.mark.parametrize("build, name", COEFFICIENT_FIELDS)
+@pytest.mark.parametrize("value", ["2", True, False, None, b"2"])
+def test_coefficients_reject_strings_and_bools_by_name(build, name, value):
+    # a zero-length piece is dropped, but its coefficient is still read
+    with pytest.raises(LogSpaceError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+@pytest.mark.parametrize("build, name", COEFFICIENT_FIELDS)
+def test_coefficients_reject_integers_too_large_for_a_float(build, name):
+    with pytest.raises(LogSpaceError, match=f"^{name} must be finite, got an integer too large for a float$"):
+        build(10**400)
+
+
+def test_coefficients_take_ints_floats_and_complexes():
+    assert StepPiece(0, 1, 2) == StepPiece(0, 1, 2.0) == StepPiece(0, 1, 2 + 0j)
+    assert type(StepPiece(0, 1, 2).coef) is complex
+    f = StepFunction.from_pieces(interval_space(0, 2), [(0, 0, 1, 2), (0, 1, 2, 1.5j)])
+    assert f.pieces[0] == (StepPiece(0, 1, 2), StepPiece(1, 2, 1.5j))
+    assert scale(f, 2) == scale(f, 2.0) == scale(f, 2 + 0j)
+
+
+@pytest.mark.parametrize("index", [0.0, 0.7, True, False, "0", None])
+def test_measurable_set_components_are_integers_not_bools(index):
+    with pytest.raises(LogSpaceError, match=f"^component index must be an integer, got {re.escape(repr(index))}$"):
+        MeasurableSet(((index, 0, 0.5),))
+
+
+@pytest.mark.parametrize("index", [0.0, 1.0, True, False, "0", None])
+def test_from_pieces_component_indexes_are_integers_not_bools(index):
+    two = MeasureSpace((Component(constant_density(0, 1)), Component(constant_density(2, 3))))
+    with pytest.raises(LogSpaceError, match=f"^component index {re.escape(str(index))} out of range$"):
+        StepFunction.from_pieces(two, [(index, 0, 0.5, 1)])
+
+
 def test_real_fields_take_integers_as_floats():
     assert IntervalPiece(0, 1, 2) == IntervalPiece(0.0, 1.0, 2.0)
     assert FiniteList((3,)).values == (3.0,)
     assert ClosedForm("LINEAR", (2, 1)).params == (2.0, 1.0)
     assert StepPiece(0, 1, 2) == StepPiece(0.0, 1.0, 2 + 0j)
     assert type(AffinePiece(0, 1, 2, 0, 0, 2).slope) is float
+    assert MeasurableSet(((1, 0, 2),)).parts == ((1, 0.0, 2.0),)
+    assert type(MeasurableSet(((1, 0, 2),)).parts[0][1]) is float
 
 
 def test_workspace_is_mutable_and_unhashable():
