@@ -69,11 +69,16 @@ class ClosedForm(Value):
     params: tuple[float, ...]
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise LogSpaceError(f"closed form kind must be a string, got {self.kind!r}")
         row = _CLOSED_FORMS.get(self.kind)
         if row is None:
             raise LogSpaceError(f"unknown closed form kind {self.kind!r}")
         names = row[0]
-        params = tuple(self.params)
+        try:
+            params = tuple(self.params)
+        except TypeError:
+            raise LogSpaceError(f"{self.kind} parameters must be a sequence, got {self.params!r}") from None
         if len(params) != len(names):
             raise LogSpaceError(f"{self.kind} takes {len(names)} parameter(s)")
         params = tuple([real(p, f"{self.kind} parameter {name}") for name, p in zip(names, params)])
@@ -92,7 +97,14 @@ class ClosedForm(Value):
             object.__setattr__(self, "params", self.params[:1])
 
     def term(self, i: int) -> float:
-        return _CLOSED_FORMS[self.kind][1](i, *self.params)
+        """mu_i; a term beyond the float range is rejected, and ``log_term`` still serves."""
+        try:
+            t = _CLOSED_FORMS[self.kind][1](i, *self.params)
+        except OverflowError:  # r**i or float(i)
+            t = math.inf
+        if t == math.inf:
+            raise LogSpaceError(f"{self.kind}{self.params} term {i} overflows a float")
+        return t
 
     def log_term(self, i: int) -> float:
         """log(mu_i); overflow-safe for large indices."""

@@ -153,7 +153,9 @@ class StepFunction(Value):
         """Build and canonicalize from (component, start, stop, coef) entries."""
         per: list[list[tuple[float, float, complex]]] = [[] for _ in space.components]
         for comp, a, b, c in specs:
-            if isinstance(comp, bool) or not isinstance(comp, int) or not 0 <= comp < len(per):
+            if isinstance(comp, bool) or not isinstance(comp, int):
+                raise LogSpaceError(f"component index must be an integer, got {comp!r}")
+            if not 0 <= comp < len(per):
                 raise LogSpaceError(f"component index {comp} out of range")
             component = space.components[comp]
             if not component.realizable:
@@ -278,10 +280,10 @@ def _cell_table(space: MeasureSpace, kind: NormKind) -> _CellTable:
 
     Every External kind uses the space's density index, whose unit weights
     multiply exactly.  Any other kind uses the one weighted table the space
-    keeps: each component's density merged with its h1 and h2, compiled for
-    the last kind object the space was normed under.  It hits only for that
-    very object: comparing kinds by value would walk every density piece,
-    which is what the table saves.  A table is never mutated once stored
+    keeps: each component's density swept against its h1 and h2 by
+    ``_weighted_cells``, compiled for the last kind object the space was
+    normed under.  It hits only for that very object: comparing kinds by
+    value would walk every density piece, which is what the table saves.  A table is never mutated once stored
     and a recompiled one is equal, so concurrent callers at worst compile
     it twice.
     """
@@ -293,11 +295,46 @@ def _cell_table(space: MeasureSpace, kind: NormKind) -> _CellTable:
         h1, h2 = _kind_weights(space, kind)
         table = []
         for comp, h1c, h2c in zip(space.components, h1, h2):
-            merged = merge_pieces(comp.density.pieces, h1c.pieces, h2c.pieces)
-            cells = [(lo, hi, d.value, w1.value, w2.value) for lo, hi, (d, w1, w2) in merged]
+            cells = _weighted_cells(comp.density, h1c, h2c)
             table.append((comp.realizable, [c[0] for c in cells], cells))
         slot = stored["_kind_cells"] = (kind, table)
     return slot[1]
+
+
+def _weighted_cells(
+    dens: PiecewiseDensity, h1: PiecewiseDensity, h2: PiecewiseDensity
+) -> list[tuple[float, float, float, float, float]]:
+    """The (lo, hi, density, w1, w2) cells of three densities on one carrier.
+
+    The cells and bounds of ``merge_pieces(dens.pieces, h1.pieces,
+    h2.pieces)``, bit for bit, written out for three lists: each list tiles
+    the carrier exactly, so the sweep keeps no gap bookkeeping and stops at
+    the carrier's stop.  A cell ends at the first list's stop among equal
+    stops, as ``min`` picks it, which keeps the sign of a zero bound.
+    """
+    nd, n1, n2 = iter(dens.pieces).__next__, iter(h1.pieces).__next__, iter(h2.pieces).__next__
+    p, q, r = nd(), n1(), n2()
+    lo, stop = p.start, dens.stop
+    ps, d, qs, w1, rs, w2 = p.stop, p.value, q.stop, q.value, r.stop, r.value
+    cells = []
+    append = cells.append
+    while True:
+        hi = ps if ps <= qs else qs
+        if rs < hi:
+            hi = rs
+        append((lo, hi, d, w1, w2))
+        if hi == stop:
+            return cells
+        if ps == hi:
+            p = nd()
+            ps, d = p.stop, p.value
+        if qs == hi:
+            q = n1()
+            qs, w1 = q.stop, q.value
+        if rs == hi:
+            r = n2()
+            rs, w2 = r.stop, r.value
+        lo = hi
 
 
 def _norm_terms(f: StepFunction, table: _CellTable) -> list[float] | None:

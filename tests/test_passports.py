@@ -172,6 +172,46 @@ class TestMeasureSeq:
             ClosedForm(kind, params)
 
     @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("LINEAR", (1e308, 1e308), "LINEAR(1e+308, 1e+308) term 1 overflows a float"),
+            ("GEOM", (1e300, 1e10), "GEOM(1e+300, 10000000000.0) term 1 overflows a float"),
+        ],
+    )
+    def test_a_first_term_beyond_the_float_range_is_rejected(self, kind, params, message):
+        # mu_1 = inf would be an infinite measure in a finite-measure row
+        with pytest.raises(LogSpaceError) as err:
+            ClosedForm(kind, params)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "cf, i",
+        [
+            (ClosedForm("GEOM", (1.0, 2.0)), 2000),  # r**i raises OverflowError
+            (ClosedForm("GEOM", (1e300, 1.5)), 100),  # a * r**i rounds to inf
+            (ClosedForm("LINEAR", (1e300, 1.0)), 10**9),
+            (ClosedForm("LINEAR", (1.0, 1.0)), 10**400),  # i does not convert to a float
+        ],
+        ids=["geom-power", "geom-product", "linear-product", "linear-index"],
+    )
+    def test_a_term_beyond_the_float_range_is_rejected_by_index(self, cf, i):
+        with pytest.raises(LogSpaceError, match=rf"^{cf.kind}\(.*\) term {i} overflows a float"):
+            cf.term(i)
+        assert math.isfinite(cf.log_term(min(i, 10**6)))
+
+    @pytest.mark.parametrize("kind", [["CONST"], None, 1, b"CONST"])
+    def test_a_kind_that_is_not_a_string_is_rejected(self, kind):
+        with pytest.raises(LogSpaceError) as err:
+            ClosedForm(kind, (1.0,))
+        assert str(err.value) == f"closed form kind must be a string, got {kind!r}"
+
+    @pytest.mark.parametrize("params", [1.0, None, 3])
+    def test_params_that_are_not_a_sequence_are_rejected(self, params):
+        with pytest.raises(LogSpaceError) as err:
+            ClosedForm("CONST", params)
+        assert str(err.value) == f"CONST parameters must be a sequence, got {params!r}"
+
+    @pytest.mark.parametrize(
         "cf, text, log_10, growth",
         [
             (ClosedForm("CONST", (2.5,)), "CONST c=2.5", math.log(2.5), (2, 0.0)),

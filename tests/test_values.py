@@ -336,8 +336,16 @@ def test_measurable_set_components_are_integers_not_bools(index):
 
 @pytest.mark.parametrize("index", [0.0, 1.0, True, False, "0", None])
 def test_from_pieces_component_indexes_are_integers_not_bools(index):
+    # the message of MeasurableSet: "0" must not read as the in-range index 0
     two = MeasureSpace((Component(constant_density(0, 1)), Component(constant_density(2, 3))))
-    with pytest.raises(LogSpaceError, match=f"^component index {re.escape(str(index))} out of range$"):
+    with pytest.raises(LogSpaceError, match=f"^component index must be an integer, got {re.escape(repr(index))}$"):
+        StepFunction.from_pieces(two, [(index, 0, 0.5, 1)])
+
+
+@pytest.mark.parametrize("index", [-1, 2, 10**400])
+def test_from_pieces_names_an_integer_index_out_of_range(index):
+    two = MeasureSpace((Component(constant_density(0, 1)), Component(constant_density(2, 3))))
+    with pytest.raises(LogSpaceError, match=f"^component index {index} out of range$"):
         StepFunction.from_pieces(two, [(index, 0, 0.5, 1)])
 
 
