@@ -9,6 +9,12 @@ data.  The builder checks every piece as ``StepPiece`` does (finite start
 before its stop, finite coefficient) and rejects overlaps, so a NaN or
 reversed bound, or a product that overflows, raises a ``LogSpaceError``.
 
+The algebra (``add``, ``multiply``) sweeps the two functions' pieces with
+one cursor each, ``_pointwise_cells``, and hands the cells to the builder;
+a gap counts as ``0j``.  It and ``_weighted_cells``, which compiles the
+weighted norm tables, are ``merge_pieces`` written out for two and three
+lists, and give the merge's cells bit for bit.
+
 Norm kinds:
 
 * ``External``            integral of log(1 + |f|) d(mu)
@@ -39,7 +45,6 @@ from .measure import (
     _CellTable,
     _check_density_fits,
     _density_index,
-    merge_pieces,
     uniform_density,
 )
 
@@ -172,9 +177,13 @@ class StepFunction(Value):
         return all(not ps for ps in self.pieces)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
+        if not isinstance(other, StepFunction):
+            return NotImplemented
         return add(self, other)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
+        if not isinstance(other, StepFunction):
+            return NotImplemented
         return add(self, scale(other, -1))
 
     def __mul__(self, other):
@@ -196,14 +205,60 @@ def _pointwise(f: StepFunction, g: StepFunction, fn) -> StepFunction:
     """
     if len(f.pieces) != len(g.pieces):
         raise LogSpaceError("step functions live on different spaces")
-    out = []
-    for pa, pb in zip(f.pieces, g.pieces):
-        cells = [
-            (lo, hi, fn(0j if p is None else p.coef, 0j if q is None else q.coef))
-            for lo, hi, (p, q) in merge_pieces(pa, pb)
-        ]
-        out.append(_from_cells(cells))
+    out = [_from_cells(_pointwise_cells(pa, pb, fn)) for pa, pb in zip(f.pieces, g.pieces)]
     return _wrap(tuple(out))
+
+
+def _pointwise_cells(
+    pa: tuple[StepPiece, ...], pb: tuple[StepPiece, ...], fn
+) -> list[tuple[float, float, complex]]:
+    """(lo, hi, fn(a, b)) on the cells of ``merge_pieces(pa, pb)``, bit for bit.
+
+    The merge written out for two piece lists, with a cursor on each: a
+    list's next breakpoint is the stop of its live piece, or in a gap the
+    start of its next piece (coefficient 0j), or +inf once it is spent.
+    Cells that neither list covers are skipped.  A cell ends at the first
+    list's bound among equal bounds, as ``min`` picks it, which keeps the
+    sign of a zero bound.
+    """
+    inf = math.inf
+    na, nb = len(pa), len(pb)
+    i = j = 0
+    xa = pa[0].start if na else inf  # next breakpoint of each list
+    xb = pb[0].start if nb else inf
+    ca = cb = 0j  # coefficient of each list on the current cell
+    live_a = live_b = False
+    cells = []
+    append = cells.append
+    lo = xb if xb < xa else xa
+    while lo != inf:
+        if xa == lo:
+            if live_a:  # the live piece ends here
+                i += 1
+            if i == na:
+                live_a, ca, xa = False, 0j, inf
+            else:
+                p = pa[i]
+                if p.start == lo:
+                    live_a, ca, xa = True, p.coef, p.stop
+                else:  # a gap until p
+                    live_a, ca, xa = False, 0j, p.start
+        if xb == lo:
+            if live_b:
+                j += 1
+            if j == nb:
+                live_b, cb, xb = False, 0j, inf
+            else:
+                q = pb[j]
+                if q.start == lo:
+                    live_b, cb, xb = True, q.coef, q.stop
+                else:
+                    live_b, cb, xb = False, 0j, q.start
+        hi = xb if xb < xa else xa
+        if live_a or live_b:
+            append((lo, hi, fn(ca, cb)))
+        lo = hi
+    return cells
 
 
 def add(f: StepFunction, g: StepFunction) -> StepFunction:

@@ -285,8 +285,8 @@ def test_compiling_a_weighted_table_never_calls_the_merge(monkeypatch):
         calls.append(len(lists))
         return merge_pieces(*lists)
 
-    monkeypatch.setattr(stepfunctions, "merge_pieces", counted)
     monkeypatch.setattr(sys.modules[merge_pieces.__module__], "merge_pieces", counted)
+    assert not hasattr(stepfunctions, "merge_pieces")  # no second binding to patch
     rng = random.Random(5)
     for _ in range(20):
         space = random_space(rng, 3, unbounded_prob=0.5)

@@ -141,6 +141,23 @@ class TestAlgebraOps:
         s = add(f, g)
         assert [p.coef for p in s.pieces[0]] == [2 + 0j, 5 + 0j, 3 + 0j]
 
+    @pytest.mark.parametrize("other", [3, 2.5, 1j, "a", None])
+    def test_adding_a_non_function_raises_the_usual_type_error(self, other):
+        # Python's own TypeError, on either side, and not an AttributeError
+        f = step(UNIT, (0, 0.0, 0.5, 2))
+        for expr in (lambda: f + other, lambda: f - other):
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                expr()
+        for expr in (lambda: other + f, lambda: other - f):
+            with pytest.raises(TypeError):
+                expr()
+
+    def test_multiplying_by_a_non_function_still_scales(self):
+        f = step(UNIT, (0, 0.0, 0.5, 2))
+        assert f * 3 == 3 * f == scale(f, 3)
+        with pytest.raises(LogSpaceError, match="scale factor must be a number, got 'a'"):
+            f * "a"
+
 
 class TestLogNorm:
     def test_zero_function(self):
