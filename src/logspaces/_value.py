@@ -1,10 +1,10 @@
-"""The base of the package's record classes, in place of ``dataclasses``.
+"""The readers of input numbers, and the base of the package's record classes.
 
-Importing ``dataclasses`` (which loads ``inspect``) and generating each
-class's methods took about a fifth of every command-line call, so the
-methods here are written once and read each class's field names, which
-``__init_subclass__`` takes from its annotations.  Nothing is generated or
-compiled per class.
+The readers (``real``, ``finite_real``, ``coefficient``, ``integer``) are the
+package's one rule for what counts as a number; none takes a bool.  The base
+replaces ``dataclasses``, whose import (it loads ``inspect``) and per-class
+code generation took about a fifth of every command-line call: its methods
+are written once and read each class's field names from its annotations.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from operator import attrgetter
 from .errors import LogSpaceError
 
 _set = object.__setattr__
+# the heads of a reader's messages for a wrong type and for a value not finite, given (name, what)
+_MUST = ("{} must be {}", "{} must be finite")
 
 
 def real(value, name: str) -> float:
@@ -23,6 +25,13 @@ def real(value, name: str) -> float:
     return _read_number(value, name, (int, float), float, "a real number")
 
 
+def finite_real(value, name: str) -> float:
+    """`value` read as `real` reads it, and neither NaN nor infinite (for which x - x is NaN)."""
+    if value.__class__ is float and value - value == 0.0:
+        return value
+    return _read_number(value, name, (int, float), float, "a real number", True)
+
+
 def coefficient(value, name: str) -> complex:
     """`value`, the field `name`, as a complex: an int, a float or a complex, never a bool or a string."""
     if value.__class__ is complex or value.__class__ is float:
@@ -30,14 +39,24 @@ def coefficient(value, name: str) -> complex:
     return _read_number(value, name, (int, float, complex), complex, "a number")
 
 
-def _read_number(value, name: str, types: tuple, convert, what: str):
-    """convert(value) if value is one of types, but not a bool; the fast paths above skip this."""
+def integer(value, name: str, what: str = "an integer") -> int:
+    """`value`, the field `name`, as an int: never a bool, a float or a string."""
+    if value.__class__ is int:
+        return value
+    return _read_number(value, name, int, int, what)
+
+
+def _read_number(value, name: str, types, convert, what: str, finite: bool = False, wording: tuple = _MUST):
+    """convert(value) if value is one of types, not a bool, and finite if asked; the fast paths skip this."""
     if isinstance(value, bool) or not isinstance(value, types):
-        raise LogSpaceError(f"{name} must be {what}, got {value!r}")
+        raise LogSpaceError(f"{wording[0].format(name, what)}, got {value!r}")
     try:
-        return convert(value)
+        v = convert(value)
     except OverflowError:
-        raise LogSpaceError(f"{name} must be finite, got an integer too large for a float") from None
+        raise LogSpaceError(f"{wording[1].format(name)}, got an integer too large for a float") from None
+    if finite and v - v != 0.0:
+        raise LogSpaceError(f"{wording[1].format(name)}, got {value!r}")
+    return v
 
 
 class Value:

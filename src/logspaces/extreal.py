@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from ._value import Value
+from ._value import Value, real
 from .errors import LogSpaceError
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class ExtendedReal(Value):
@@ -20,12 +23,10 @@ class ExtendedReal(Value):
     value: float
 
     def __post_init__(self):
-        v = self.value
-        if isinstance(v, int):
-            object.__setattr__(self, "value", float(v))
-            v = float(v)
-        if not isinstance(v, float) or math.isnan(v) or v < 0.0:
+        v = real(self.value, "extended real")
+        if not v >= 0.0:  # NaN fails it too
             raise LogSpaceError(f"extended real must be >= 0 and not NaN, got {v!r}")
+        _set(self, "value", v)
 
     @property
     def is_finite(self) -> bool:
@@ -60,7 +61,7 @@ INF = ExtendedReal(math.inf)
 
 def finite(v: float) -> ExtendedReal:
     """A finite extended real; rejects infinities as well as negatives and NaN."""
-    if math.isinf(v):
+    if math.isinf(real(v, "extended real")):
         raise LogSpaceError("finite() got an infinite value")
     return ExtendedReal(v)
 
@@ -80,10 +81,6 @@ def ext_sum(values: Iterable[ExtendedReal]) -> ExtendedReal:
             infinite = True
     total = ext_fsum(parts, "sum of finite values")
     return INF if infinite else total
-
-
-_new = object.__new__
-_set = object.__setattr__
 
 
 def ext_fsum(terms: Iterable[float], what: str) -> ExtendedReal:

@@ -17,7 +17,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from ._value import Value, real
+from ._value import Value, finite_real, integer, real
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum, ext_sum
 
@@ -35,15 +35,11 @@ class IntervalPiece(Value):
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "start", real(self.start, "piece start"))
+        object.__setattr__(self, "start", finite_real(self.start, "piece start"))
         object.__setattr__(self, "stop", real(self.stop, "piece stop"))
-        object.__setattr__(self, "value", real(self.value, "piece value"))
-        if math.isnan(self.start) or math.isinf(self.start):
-            raise LogSpaceError(f"piece start must be finite, got {self.start!r}")
-        if math.isnan(self.stop) or not self.start < self.stop:
+        object.__setattr__(self, "value", finite_real(self.value, "piece value"))
+        if not self.start < self.stop:  # a NaN stop fails it too
             raise LogSpaceError(f"piece must satisfy start < stop, got [{self.start}, {self.stop})")
-        if math.isnan(self.value) or math.isinf(self.value):
-            raise LogSpaceError(f"piece value must be finite, got {self.value!r}")
 
     @property
     def length(self) -> float:
@@ -117,9 +113,8 @@ class Component(Value):
     weight: WeightLabel = 0
 
     def __post_init__(self):
-        w = self.weight
-        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
-            raise LogSpaceError(f"weight must be a non-negative integer, got {w!r}")
+        if integer(self.weight, "weight", "a non-negative integer") < 0:
+            raise LogSpaceError(f"weight must be a non-negative integer, got {self.weight!r}")
 
     @property
     def carrier(self) -> tuple[float, float]:
@@ -183,8 +178,8 @@ class MeasurableSet(Value):
         parts = []
         for c, a, b in self.parts:
             # a plain int passes on the first test: every transport_set result is built here
-            if c.__class__ is not int and (isinstance(c, bool) or not isinstance(c, int)):
-                raise LogSpaceError(f"component index must be an integer, got {c!r}")
+            if c.__class__ is not int:
+                c = integer(c, "component index")
             parts.append((c, real(a, "subinterval start"), real(b, "subinterval stop")))
         parts.sort()
         norm = tuple(parts)

@@ -18,7 +18,7 @@ import math
 from math import log
 from typing import Union
 
-from ._value import Value, real
+from ._value import Value, finite_real, integer, real
 from .errors import LogSpaceError
 from .extreal import ext_sum
 from .measure import MeasureSpace, _weight_groups
@@ -81,11 +81,8 @@ class ClosedForm(Value):
             raise LogSpaceError(f"{self.kind} parameters must be a sequence, got {self.params!r}") from None
         if len(params) != len(names):
             raise LogSpaceError(f"{self.kind} takes {len(names)} parameter(s)")
-        params = tuple([real(p, f"{self.kind} parameter {name}") for name, p in zip(names, params)])
+        params = tuple([finite_real(p, f"{self.kind} parameter {name}") for name, p in zip(names, params)])
         object.__setattr__(self, "params", params)
-        for name, p in zip(names, params):
-            if not math.isfinite(p):
-                raise LogSpaceError(f"{self.kind} parameter {name} must be finite, got {p!r}")
         # these two checks leave every CONST, RECIP and GEOM parameter positive
         if self.term(1) <= 0:
             raise LogSpaceError(f"{self.kind}{params} is not positive at i=1")
@@ -143,8 +140,8 @@ def _label_row(row, name: str) -> tuple[int, ...]:
     """The row as a tuple of strictly increasing non-negative int labels (no bools)."""
     labels = tuple(row)
     for w in labels:
-        if isinstance(w, bool) or not isinstance(w, int):
-            raise LogSpaceError(f"{name} row labels must be integers, got {w!r}")
+        if w.__class__ is not int:  # a plain int passes on the first test
+            integer(w, f"{name} row labels", "integers")
     if any(w < 0 for w in labels) or any(x >= y for x, y in zip(labels, labels[1:])):
         raise LogSpaceError(f"{name} row must be strictly increasing non-negative labels")
     return labels

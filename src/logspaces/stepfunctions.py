@@ -35,7 +35,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable
 
-from ._value import Value, coefficient, real
+from ._value import Value, coefficient, integer, real
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
@@ -158,8 +158,8 @@ class StepFunction(Value):
         """Build and canonicalize from (component, start, stop, coef) entries."""
         per: list[list[tuple[float, float, complex]]] = [[] for _ in space.components]
         for comp, a, b, c in specs:
-            if isinstance(comp, bool) or not isinstance(comp, int):
-                raise LogSpaceError(f"component index must be an integer, got {comp!r}")
+            if comp.__class__ is not int:
+                comp = integer(comp, "component index")
             if not 0 <= comp < len(per):
                 raise LogSpaceError(f"component index {comp} out of range")
             component = space.components[comp]

@@ -48,7 +48,7 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from ._value import Value, real
+from ._value import Value, integer, real
 from .errors import LogSpaceError
 from .extreal import ExtendedReal
 from .measure import (
@@ -437,6 +437,7 @@ def verify_isometry(
     """
     from .sampling import random_step_function
 
+    samples, seed = integer(samples, "sample count"), integer(seed, "seed")
     if samples < 1:
         raise LogSpaceError("sample count must be >= 1")
     worst = -1.0

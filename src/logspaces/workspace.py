@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from ._value import Value
+from ._value import Value, _read_number
 from .errors import LogSpaceError, WorkspaceError
 from .measure import (
     Component,
@@ -41,10 +41,6 @@ class Workspace(Value, frozen=False):
                 setattr(self, name, {})
 
 
-def _fail(path: str, msg: str):
-    raise WorkspaceError(path, msg)
-
-
 def _at(path: str, make, *args, prefix: str = ""):
     """make(*args), with a LogSpaceError re-raised as a WorkspaceError at path."""
     try:
@@ -53,16 +49,11 @@ def _at(path: str, make, *args, prefix: str = ""):
         raise WorkspaceError(path, f"{prefix}{e}") from e
 
 
-def _number(obj, path: str, kinds: str = "a number") -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        _fail(path, f"expected {kinds}, got {obj!r}")
-    try:
-        v = float(obj)
-    except OverflowError:
-        _fail(path, "expected a finite number, got an integer too large for a float")
-    if math.isnan(v) or math.isinf(v):
-        _fail(path, f"expected a finite number, got {obj!r}")
-    return v
+_EXPECTED = ("expected {1}", "expected a finite number")  # the readers' message heads, after the path
+
+
+def _number(obj, path: str, what: str = "a number") -> float:
+    return _at(path, _read_number, obj, path, (int, float), float, what, True, _EXPECTED)
 
 
 def _stop(obj, path: str) -> float:
@@ -70,26 +61,24 @@ def _stop(obj, path: str) -> float:
 
 
 def _int(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        _fail(path, f"expected an integer, got {obj!r}")
-    return obj
+    return _at(path, _read_number, obj, path, int, int, "an integer", False, _EXPECTED)
 
 
 def _kind(obj, path: str) -> str:
     if not isinstance(obj, str):
-        _fail(path, "expected a closed-form kind string")
+        raise WorkspaceError(path, "expected a closed-form kind string")
     return obj
 
 
 def _object(obj, path: str) -> dict:
     if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
+        raise WorkspaceError(path, f"expected an object, got {type(obj).__name__}")
     return obj
 
 
 def _array(obj, path: str) -> list:
     if not isinstance(obj, list):
-        _fail(path, f"expected an array, got {type(obj).__name__}")
+        raise WorkspaceError(path, f"expected an array, got {type(obj).__name__}")
     return obj
 
 
@@ -102,13 +91,13 @@ def _fields(obj, path: str, spec: dict) -> list:
     """Object obj's field values in spec order; spec maps each name to (reader, default)."""
     for key in _object(obj, path):
         if key not in spec:
-            _fail(f"{path}.{key}", "unknown field")
+            raise WorkspaceError(f"{path}.{key}", "unknown field")
     return [read(obj.get(key, default), f"{path}.{key}") for key, (read, default) in spec.items()]
 
 
 def _carrier(obj, path: str) -> tuple[float, float]:
     if len(_array(obj, path)) != 2:
-        _fail(path, "expected [from, to]")
+        raise WorkspaceError(path, "expected [from, to]")
     return _number(obj[0], f"{path}[0]"), _stop(obj[1], f"{path}[1]")
 
 
@@ -126,7 +115,7 @@ def _parse_component(obj, path: str) -> Component:
     at = f"{path}.density"
     comp = _at(at, Component, _at(at, PiecewiseDensity, pieces), weight)
     if comp.carrier != carrier:
-        _fail(at, "pieces must cover the carrier exactly")
+        raise WorkspaceError(at, "pieces must cover the carrier exactly")
     return comp
 
 
@@ -138,18 +127,18 @@ def _function_row(obj, path: str) -> tuple[int, float, float, complex]:
 
 def _parse_function(obj, path: str, space: MeasureSpace | None) -> StepFunction:
     if space is None:
-        _fail(path, 'workspace has no "space" to define functions on')
+        raise WorkspaceError(path, 'workspace has no "space" to define functions on')
     return _at(path, StepFunction.from_pieces, space, _each(_function_row)(obj, path))
 
 
 def _parse_density(obj, path: str, space: MeasureSpace | None) -> SpaceDensity:
     if space is None:
-        _fail(path, 'workspace has no "space" to define densities on')
+        raise WorkspaceError(path, 'workspace has no "space" to define densities on')
     n = len(space.components)
 
     def index(k, at: str) -> int:
         if not 0 <= _int(k, at) < n:
-            _fail(at, f"component index {k} out of range")
+            raise WorkspaceError(at, f"component index {k} out of range")
         return k
 
     per: list[list[IntervalPiece]] = [[] for _ in range(n)]
@@ -161,7 +150,7 @@ def _parse_density(obj, path: str, space: MeasureSpace | None) -> SpaceDensity:
         pieces = tuple(sorted(pieces, key=lambda q: q.start))
         dens = _at(path, PiecewiseDensity, pieces, prefix=f"component {k}: ")
         if (dens.start, dens.stop) != comp.carrier:
-            _fail(path, f"component {k}: pieces must cover the component carrier exactly")
+            raise WorkspaceError(path, f"component {k}: pieces must cover the component carrier exactly")
         out.append(dens)
     return tuple(out)
 
@@ -179,7 +168,8 @@ def _parse_passport(obj, path: str) -> Passport:
     row_s, row_m, u = _fields(obj, path, spec)
     closed = isinstance(row_m, ClosedForm)
     if closed and u not in (None, []):
-        _fail(f"{path}.u", "closed-form third row requires omitting u (implicit ascending labels)")
+        msg = "closed-form third row requires omitting u (implicit ascending labels)"
+        raise WorkspaceError(f"{path}.u", msg)
     row_u = None if closed else _each(_int)([] if u is None else u, f"{path}.u")
     return _at(path, Passport, row_s, row_u, row_m)
 
@@ -189,7 +179,7 @@ def _unique(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
-        _fail(next(key for i, key in enumerate(keys) if key in keys[:i]), "duplicate key")
+        raise WorkspaceError(next(key for i, key in enumerate(keys) if key in keys[:i]), "duplicate key")
     return obj
 
 
@@ -207,7 +197,7 @@ def parse_workspace(text: str) -> Workspace:
 def _workspace(doc: dict) -> Workspace:
     for key in doc:
         if key not in _TOP_KEYS:
-            _fail(key, "unknown top-level key")
+            raise WorkspaceError(key, "unknown top-level key")
     ws = Workspace()
     for key in ("space", "space2"):
         if key in doc:

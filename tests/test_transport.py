@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -445,6 +446,22 @@ class TestVerifyIsometry:
         h = random_density(rng, s)
         rep = verify_isometry(h, s, EXTERNAL, s, Internal(h), 200, 5)
         assert rep.max_abs_deviation <= 1e-9
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
+    @pytest.mark.parametrize("name", ["sample count", "seed"])
+    def test_sample_count_and_seed_are_integers_not_bools(self, name, bad):
+        s = interval_space(0, 1)
+        t = transport_between_spaces(s, s)
+        samples, seed = (bad, 1) if name == "sample count" else (3, bad)
+        with pytest.raises(LogSpaceError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+            verify_isometry(t, s, EXTERNAL, s, EXTERNAL, samples, seed)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_count_is_at_least_one(self, samples):
+        s = interval_space(0, 1)
+        t = transport_between_spaces(s, s)
+        with pytest.raises(LogSpaceError, match="^sample count must be >= 1$"):
+            verify_isometry(t, s, EXTERNAL, s, EXTERNAL, samples, 1)
 
 
 class TestMeasurePreservation:

@@ -280,6 +280,8 @@ NUMBER_FIELDS = [
     (lambda v: MeasurableSet(((0, 0, v),)), "subinterval stop"),
     (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, v, 1, 1)]), "step piece start"),
     (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, 0, v, 1)]), "step piece stop"),
+    (ExtendedReal, "extended real"),
+    (finite, "extended real"),
 ]
 
 

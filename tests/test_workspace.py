@@ -132,3 +132,113 @@ def test_density_must_cover_every_component():
     }"""
     with pytest.raises(WorkspaceError, match="densities.h"):
         parse_workspace(text)
+
+
+# Every numeric and integer field the reader takes, with the value written
+# in as "@".  Each field is read as a number, an upper end (a number or
+# "inf") or an integer, and every bad value gets that reader's message.
+_SPACE = '"space": [{"weight": %s, "carrier": [%s, %s], "density": [{"from": %s, "to": %s, "value": %s}]}]'
+_ONE = _SPACE % (0, 0, 2, 0, 2, 1)
+_ROW = '{"component": %s, "from": %s, "to": %s, "re": %s, "im": %s}'
+
+
+def _function_row(field: str) -> str:
+    values = {"component": "0", "from": "0", "to": "1", "re": "1", "im": "0", field: "@"}
+    return "{" + _ONE + ', "functions": {"f": [' + _ROW % tuple(values.values()) + "]}}"
+
+
+FIELDS = [
+    ("space[0].weight", "{" + _SPACE % ("@", 0, 2, 0, 2, 1) + "}", "integer"),
+    ("space[0].carrier[0]", "{" + _SPACE % (0, "@", 2, 0, 2, 1) + "}", "number"),
+    ("space[0].carrier[1]", "{" + _SPACE % (0, 0, "@", 0, 2, 1) + "}", "stop"),
+    ("space[0].density[0].from", "{" + _SPACE % (0, 0, 2, "@", 2, 1) + "}", "number"),
+    ("space[0].density[0].to", "{" + _SPACE % (0, 0, 2, 0, "@", 1) + "}", "stop"),
+    ("space[0].density[0].value", "{" + _SPACE % (0, 0, 2, 0, 2, "@") + "}", "number"),
+    ("functions.f[0].component", _function_row("component"), "integer"),
+    ("functions.f[0].from", _function_row("from"), "number"),
+    ("functions.f[0].to", _function_row("to"), "stop"),
+    ("functions.f[0].re", _function_row("re"), "number"),
+    ("functions.f[0].im", _function_row("im"), "number"),
+    (
+        "densities.d[0].component",
+        "{" + _ONE + ', "densities": {"d": [{"component": @, "from": 0, "to": 2, "value": 1}]}}',
+        "integer",
+    ),
+    ("passports.p.s[0]", '{"passports": {"p": {"s": [@], "u": [0], "m": [1]}}}', "integer"),
+    ("passports.p.u[0]", '{"passports": {"p": {"s": [], "u": [@], "m": [1]}}}', "integer"),
+    ("passports.p.m[0]", '{"passports": {"p": {"s": [], "u": [0], "m": [@]}}}', "number"),
+    ("passports.p.m.params[0]", '{"passports": {"p": {"m": {"kind": "CONST", "params": [@]}}}}', "number"),
+]
+
+_BIG = "1" + "0" * 400
+_FINITE = {
+    "NaN": "expected a finite number, got nan",
+    "1e400": "expected a finite number, got inf",
+    _BIG: "expected a finite number, got an integer too large for a float",
+}
+# reader: {value as JSON text: message}
+MESSAGES = {
+    "number": {
+        '"2"': "expected a number, got '2'",
+        "true": "expected a number, got True",
+        "null": "expected a number, got None",
+        **_FINITE,
+    },
+    "stop": {
+        '"2"': "expected a number or \"inf\", got '2'",
+        "true": 'expected a number or "inf", got True',
+        "null": 'expected a number or "inf", got None',
+        **_FINITE,
+    },
+    "integer": {
+        '"2"': "expected an integer, got '2'",
+        "true": "expected an integer, got True",
+        "null": "expected an integer, got None",
+        "NaN": "expected an integer, got nan",
+        "1e400": "expected an integer, got inf",
+        "1.5": "expected an integer, got 1.5",
+    },
+}
+# a 400-digit integer is an integer: a label or weight takes it, and an
+# index is out of range, which from_pieces reports for the whole function
+BIG_INTEGER = {
+    "space[0].weight": None,
+    "functions.f[0].component": f"functions.f: component index {_BIG} out of range",
+    "densities.d[0].component": f"densities.d[0].component: component index {_BIG} out of range",
+    "passports.p.s[0]": None,
+    "passports.p.u[0]": None,
+}
+
+
+def _row(path: str, template: str, value: str, message):
+    shown = "10**400" if value == _BIG else value
+    return pytest.param(template.replace("@", value), message, id=f"{path}={shown}")
+
+
+def _message_rows():
+    """(workspace text, the whole error message or None when it parses) for every field and value."""
+    rows = []
+    for path, template, reader in FIELDS:
+        for value, message in MESSAGES[reader].items():
+            rows.append(_row(path, template, value, f"{path}: {message}"))
+        if reader == "integer":
+            rows.append(_row(path, template, _BIG, BIG_INTEGER[path]))
+    return rows
+
+
+MESSAGE_TABLE = _message_rows()
+
+
+@pytest.mark.parametrize("text, message", MESSAGE_TABLE)
+def test_every_numeric_field_names_its_path_and_value(text, message):
+    if message is None:
+        parse_workspace(text)
+        return
+    with pytest.raises(WorkspaceError) as err:
+        parse_workspace(text)
+    assert str(err.value) == message
+
+
+def test_message_table_covers_every_field_and_value():
+    # five integer fields with seven values each, eleven numeric ones with six
+    assert len(MESSAGE_TABLE) == 5 * 7 + 11 * 6
