@@ -1,7 +1,8 @@
-"""The readers of input numbers, and the base of the package's record classes.
+"""The readers of input numbers and records, and the base of the package's record classes.
 
 The readers (``real``, ``finite_real``, ``coefficient``, ``integer``) are the
-package's one rule for what counts as a number; none takes a bool.  The base
+package's one rule for what counts as a number; none takes a bool.
+``records`` reads a field that holds a sequence of records.  The base
 replaces ``dataclasses``, whose import (it loads ``inspect``) and per-class
 code generation took about a fifth of every command-line call: its methods
 are written once and read each class's field names from its annotations.
@@ -44,6 +45,18 @@ def integer(value, name: str, what: str = "an integer") -> int:
     if value.__class__ is int:
         return value
     return _read_number(value, name, int, int, what)
+
+
+def records(values, cls: type, name: str) -> tuple:
+    """`values`, the field `name`, as a tuple of `cls` instances."""
+    try:
+        out = tuple(values)
+    except TypeError:
+        raise LogSpaceError(f"{name} must be a sequence of {cls.__name__} records, got {values!r}") from None
+    for v in out:
+        if not isinstance(v, cls):
+            raise LogSpaceError(f"{name} must be {cls.__name__} records, got {v!r}")
+    return out
 
 
 def _read_number(value, name: str, types, convert, what: str, finite: bool = False, wording: tuple = _MUST):

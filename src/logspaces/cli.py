@@ -41,28 +41,27 @@ def _require_space(ws: Workspace, key: str = "space"):
     return space
 
 
-def _forbid(args: argparse.Namespace, kind: str, *flags: str) -> None:
-    for flag in flags:
-        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
-            raise LogSpaceError(f"{flag} is not used with kind {kind}")
+# kind: (the density flags it does not use, those it requires, the kind built
+# from the required densities); flags are checked in that order
+_KINDS = {
+    "external": (("--h", "--h1", "--h2"), (), lambda: EXTERNAL),
+    "internal": (("--h1", "--h2"), ("--h",), Internal),
+    "generalized": (("--h",), ("--h1", "--h2"), Generalized),
+}
 
 
 def _cmd_norm(ws: Workspace, args) -> int:
     space = _require_space(ws)
     f = _named(ws.functions, args.fn)
-    if args.kind == "external":
-        _forbid(args, "external", "--h", "--h1", "--h2")
-        kind = EXTERNAL
-    elif args.kind == "internal":
-        _forbid(args, "internal", "--h1", "--h2")
-        if args.h is None:
-            raise LogSpaceError("kind internal requires --h")
-        kind = Internal(_named(ws.densities, args.h))
-    else:
-        _forbid(args, "generalized", "--h")
-        if args.h1 is None or args.h2 is None:
-            raise LogSpaceError("kind generalized requires --h1 and --h2")
-        kind = Generalized(_named(ws.densities, args.h1), _named(ws.densities, args.h2))
+    unused, required, make = _KINDS[args.kind]
+    given = {flag: getattr(args, flag[2:]) for flag in ("--h", "--h1", "--h2")}
+    for flag in unused:
+        if given[flag] is not None:
+            raise LogSpaceError(f"{flag} is not used with kind {args.kind}")
+    names = [given[flag] for flag in required]
+    if None in names:
+        raise LogSpaceError(f"kind {args.kind} requires {' and '.join(required)}")
+    kind = make(*[_named(ws.densities, name) for name in names])
     print(f"norm = {format_real(log_norm(f, space, kind).value)}")
     return 0
 
@@ -131,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_norm = with_file(sub.add_parser("norm", help="evaluate a named function's log-norm"))
     p_norm.add_argument("--fn", required=True)
-    p_norm.add_argument("--kind", choices=["external", "internal", "generalized"], default="external")
+    p_norm.add_argument("--kind", choices=list(_KINDS), default="external")
     p_norm.add_argument("--h", default=None)
     p_norm.add_argument("--h1", default=None)
     p_norm.add_argument("--h2", default=None)

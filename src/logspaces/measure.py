@@ -17,7 +17,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from ._value import Value, finite_real, integer, real
+from ._value import Value, finite_real, integer, real, records
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum, ext_sum
 
@@ -65,7 +65,7 @@ class PiecewiseDensity(Value):
     pieces: tuple[IntervalPiece, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(self.pieces))
+        object.__setattr__(self, "pieces", records(self.pieces, IntervalPiece, "density pieces"))
         _check_contiguous(self.pieces, "density")
         for p in self.pieces:
             if p.value <= 0.0:
@@ -113,6 +113,8 @@ class Component(Value):
     weight: WeightLabel = 0
 
     def __post_init__(self):
+        if not isinstance(self.density, PiecewiseDensity):
+            raise LogSpaceError(f"component density must be a PiecewiseDensity, got {self.density!r}")
         if integer(self.weight, "weight", "a non-negative integer") < 0:
             raise LogSpaceError(f"weight must be a non-negative integer, got {self.weight!r}")
 
@@ -139,7 +141,7 @@ class MeasureSpace(Value):
     components: tuple[Component, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "components", records(self.components, Component, "space components"))
         if not self.components:
             raise LogSpaceError("a measure space needs at least one component")
 
@@ -306,10 +308,7 @@ SpaceDensity = tuple[PiecewiseDensity, ...]
 
 def uniform_density(space: MeasureSpace, value: float = 1.0) -> SpaceDensity:
     """The constant density `value` on every component carrier."""
-    return tuple(
-        PiecewiseDensity((IntervalPiece(c.carrier[0], c.carrier[1], value),))
-        for c in space.components
-    )
+    return tuple([constant_density(*c.carrier, value) for c in space.components])
 
 
 def _check_density_fits(space: MeasureSpace, h: SpaceDensity) -> None:

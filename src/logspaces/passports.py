@@ -15,6 +15,7 @@ an in-memory space.
 from __future__ import annotations
 
 import math
+import operator
 from math import log
 from typing import Union
 
@@ -200,17 +201,20 @@ def build_passport(space: MeasureSpace) -> Passport:
     return Passport(tuple(row_s), tuple(row_u), FiniteList(tuple(values)))
 
 
-def _weight_rows_diff(name: str, ra: tuple[int, ...] | None, rb: tuple[int, ...] | None) -> str | None:
-    if (ra is None) != (rb is None):
-        return f"{name} rows differ: explicit labels vs implicit ascending labels"
-    if ra is None or rb is None:
-        return None
+def _rows_diff(name: str, ra, rb, same, text) -> str | None:
+    """Where two explicit rows first differ: in length, or at an index as `same` compares entries."""
     if len(ra) != len(rb):
         return f"{name} rows differ in length: {len(ra)} vs {len(rb)}"
     for k, (x, y) in enumerate(zip(ra, rb)):
-        if x != y:
-            return f"{name} rows differ at index {k}: {x} vs {y}"
+        if not same(x, y):
+            return f"{name} rows differ at index {k}: {text(x)} vs {text(y)}"
     return None
+
+
+def _weight_rows_diff(name: str, ra: tuple[int, ...] | None, rb: tuple[int, ...] | None) -> str | None:
+    if (ra is None) != (rb is None):
+        return f"{name} rows differ: explicit labels vs implicit ascending labels"
+    return None if ra is None else _rows_diff(name, ra, rb, operator.eq, format)
 
 
 def _closed_form_text(cf: ClosedForm) -> str:
@@ -228,12 +232,7 @@ def _same_measure(x: float, y: float) -> bool:
 
 def _third_rows_diff(ma: MeasureSeq, mb: MeasureSeq) -> str | None:
     if isinstance(ma, FiniteList) and isinstance(mb, FiniteList):
-        if len(ma) != len(mb):
-            return f"third rows differ in length: {len(ma)} vs {len(mb)}"
-        for k, (x, y) in enumerate(zip(ma.values, mb.values)):
-            if not _same_measure(x, y):
-                return f"third rows differ at index {k}: {format_real(x)} vs {format_real(y)}"
-        return None
+        return _rows_diff("third", ma.values, mb.values, _same_measure, format_real)
     if isinstance(ma, ClosedForm) and isinstance(mb, ClosedForm):
         if ma.kind != mb.kind or not all(map(_same_measure, ma.params, mb.params)):
             return f"third rows differ: {_closed_form_text(ma)} vs {_closed_form_text(mb)}"
@@ -255,6 +254,11 @@ def _passport_diff(p: Passport, q: Passport, rows: int = 3) -> tuple[str, str] |
     return None
 
 
+def _decision(rule: str, diff: tuple[str, str] | None, agreed: str) -> Decision:
+    """True with the witness `agreed` when no row differs, else false with the difference."""
+    return Decision(diff is None, rule, agreed if diff is None else diff[1])
+
+
 def decide_isomorphic_pair(p: Passport, q: Passport) -> Decision:
     """Measure-preserving isomorphism of two all-infinite algebras: first rows.
 
@@ -266,8 +270,7 @@ def decide_isomorphic_pair(p: Passport, q: Passport) -> Decision:
             raise LogSpaceError("hypothesis violated: finite-measure component present")
     homogeneous = len(p.row_s) == 1 and len(q.row_s) == 1
     rule = "single-component-weights" if homogeneous else "infinite-first-rows"
-    diff = _passport_diff(p, q, 1)
-    return Decision(diff is None, rule, diff[1] if diff else "first rows coincide")
+    return _decision(rule, _passport_diff(p, q, 1), "first rows coincide")
 
 
 def decide_star_isomorphic(p: Passport, q: Passport) -> Decision:
@@ -302,8 +305,7 @@ _EXTERNAL_RULES = (
 def decide_isometric_external(p: Passport, q: Passport) -> Decision:
     """Isometry of the plain log-norm spaces: all three rows must coincide."""
     rule, witness = next((r, w) for r, shape, w in _EXTERNAL_RULES if shape(p) and shape(q))
-    diff = _passport_diff(p, q)
-    return Decision(diff is None, rule, diff[1] if diff else witness)
+    return _decision(rule, _passport_diff(p, q), witness)
 
 
 def decide_isometric_generalized(p1: Passport, p3: Passport) -> Decision:
@@ -316,7 +318,7 @@ def decide_isometric_generalized(p1: Passport, p3: Passport) -> Decision:
     if diff is not None and diff[0] != "third":
         raise LogSpaceError("hypothesis violated: different underlying algebra")
     agreed = "third rows coincide (weight-row equality taken as the same-algebra check)"
-    return Decision(diff is None, "third-rows", diff[1] if diff else agreed)
+    return _decision("third-rows", diff, agreed)
 
 
 def render_passport(p: Passport) -> str:

@@ -26,10 +26,11 @@ from .stepfunctions import EXTERNAL, Generalized, Internal, NormKind, StepFuncti
 # functions and sets are drawn on [start, start + _WINDOW) of every carrier,
 # bounded or not; an unbounded carrier's density breakpoints fall there too
 _WINDOW = 4.0
-# a drawn density has 0.._MAX_CUTS interior cuts, and its values are
-# uniform in _DENSITY_RANGE unless a caller asks for another range
+# a drawn density has 0.._MAX_CUTS interior cuts and values uniform in
+# _DENSITY_RANGE; a drawn coefficient has modulus uniform in [0, _MAX_MODULUS]
 _MAX_CUTS = 3
 _DENSITY_RANGE = (0.25, 4.0)
+_MAX_MODULUS = 10.0
 
 
 def _interior_cuts(rng: random.Random, lo: float, hi: float, n: int) -> list[float]:
@@ -42,24 +43,16 @@ def _interior_cuts(rng: random.Random, lo: float, hi: float, n: int) -> list[flo
     return out
 
 
-def _pieces_on(
-    rng: random.Random,
-    lo: float,
-    hi: float,
-    value_range: tuple[float, float],
-) -> tuple[IntervalPiece, ...]:
+def _pieces_on(rng: random.Random, lo: float, hi: float) -> tuple[IntervalPiece, ...]:
     """Positive pieces tiling [lo, hi); hi may be inf (cuts stay in a window)."""
     cut_hi = lo + _WINDOW if math.isinf(hi) else hi
     bounds = [lo] + _interior_cuts(rng, lo, cut_hi, rng.randint(0, _MAX_CUTS)) + [hi]
-    vlo, vhi = value_range
-    return tuple(
-        IntervalPiece(a, b, rng.uniform(vlo, vhi)) for a, b in zip(bounds, bounds[1:])
-    )
+    return tuple(IntervalPiece(a, b, rng.uniform(*_DENSITY_RANGE)) for a, b in zip(bounds, bounds[1:]))
 
 
 def _drawn_component(rng: random.Random, start: float, stop: float) -> Component:
     """Weight-0 component on [start, stop) with a drawn density."""
-    return Component(PiecewiseDensity(_pieces_on(rng, start, stop, _DENSITY_RANGE)))
+    return Component(PiecewiseDensity(_pieces_on(rng, start, stop)))
 
 
 def random_space(
@@ -84,14 +77,9 @@ def random_bounded_space(rng: random.Random, max_components: int = 2) -> Measure
     return random_space(rng, max_components, unbounded_prob=0.0)
 
 
-def random_density(
-    rng: random.Random, space: MeasureSpace, value_range: tuple[float, float] = _DENSITY_RANGE
-) -> SpaceDensity:
+def random_density(rng: random.Random, space: MeasureSpace) -> SpaceDensity:
     """Strictly positive piecewise density covering every component carrier."""
-    return tuple(
-        PiecewiseDensity(_pieces_on(rng, c.carrier[0], c.carrier[1], value_range))
-        for c in space.components
-    )
+    return tuple(PiecewiseDensity(_pieces_on(rng, *c.carrier)) for c in space.components)
 
 
 def random_kind(rng: random.Random, space: MeasureSpace) -> NormKind:
@@ -103,13 +91,8 @@ def random_kind(rng: random.Random, space: MeasureSpace) -> NormKind:
     return Generalized(random_density(rng, space), random_density(rng, space))
 
 
-def random_step_function(
-    rng: random.Random,
-    space: MeasureSpace,
-    max_pieces: int = 8,
-    max_modulus: float = 10.0,
-) -> StepFunction:
-    """Bounded-support step function; coefficients have modulus in [0, max_modulus]."""
+def random_step_function(rng: random.Random, space: MeasureSpace, max_pieces: int = 8) -> StepFunction:
+    """Bounded-support step function; coefficients have modulus in [0, _MAX_MODULUS]."""
     specs = []
     for i, comp in enumerate(space.components):
         if not comp.realizable:
@@ -123,7 +106,7 @@ def random_step_function(
         for a, b in zip(bounds, bounds[1:]):
             if b - a <= (hi - lo) * 1e-9 or rng.random() < 0.2:
                 continue
-            mod = rng.uniform(0.0, max_modulus)
+            mod = rng.uniform(0.0, _MAX_MODULUS)
             phase = rng.uniform(0.0, 2.0 * math.pi)
             specs.append((i, a, b, complex(mod * math.cos(phase), mod * math.sin(phase))))
     return StepFunction.from_pieces(space, specs)

@@ -8,12 +8,7 @@ their pieces, so equality of step functions is equality of their canonical
 data.  The builder checks every piece as ``StepPiece`` does (finite start
 before its stop, finite coefficient) and rejects overlaps, so a NaN or
 reversed bound, or a product that overflows, raises a ``LogSpaceError``.
-
-The algebra (``add``, ``multiply``) sweeps the two functions' pieces with
-one cursor each, ``_pointwise_cells``, and hands the cells to the builder;
-a gap counts as ``0j``.  It and ``_weighted_cells``, which compiles the
-weighted norm tables, are ``merge_pieces`` written out for two and three
-lists, and give the merge's cells bit for bit.
+In ``add`` and ``multiply`` a gap counts as ``0j``.
 
 Norm kinds:
 
@@ -35,7 +30,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable
 
-from ._value import Value, coefficient, integer, real
+from ._value import Value, coefficient, integer, real, records
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
@@ -136,13 +131,14 @@ def _wrap(pieces: tuple[tuple[StepPiece, ...], ...]) -> "StepFunction":
 class StepFunction(Value):
     """Complex simple function; one canonical piece tuple per component.
 
-    The constructor checks only that pieces are sorted and disjoint.
+    The constructor checks only that each component holds a sequence of
+    ``StepPiece`` records, sorted and disjoint.
     """
 
     pieces: tuple[tuple[StepPiece, ...], ...]
 
     def __post_init__(self):
-        pieces = tuple([tuple(ps) for ps in self.pieces])
+        pieces = tuple([records(ps, StepPiece, "step function pieces") for ps in self.pieces])
         if any(q.start < p.stop for ps in pieces for p, q in zip(ps, ps[1:])):
             raise LogSpaceError("step function pieces must be disjoint")
         object.__setattr__(self, "pieces", pieces)
@@ -463,4 +459,4 @@ def is_member(f: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL) -
 def distance(
     f: StepFunction, g: StepFunction, space: MeasureSpace, kind: NormKind = EXTERNAL
 ) -> ExtendedReal:
-    return log_norm(add(f, scale(g, -1)), space, kind)
+    return log_norm(f - g, space, kind)

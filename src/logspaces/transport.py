@@ -4,38 +4,22 @@ The transport between two components (or two spaces) is the monotone map
 matching cumulative measure: T = G^-1 o F for the cumulative measure
 functions F, G of source and target.  With piecewise-constant densities it is
 piecewise affine, so it is stored as finitely many affine pieces; unbounded
-carriers contribute one unbounded tail piece.
+carriers contribute one unbounded tail piece.  The two sides may split their
+mass over different component counts.
 
 A transport defers to the isometry decision: it is built only where
 ``decide_isometric_external`` calls the passports of the two spaces
-isometric, and raises "no measure-preserving map" elsewhere.  It then
-matches the concatenated mass lines of the two spaces, which also handles
-two sides that split their mass over different component counts; the map
-follows the running sums of the two lines.  A true verdict fails to build
-in exactly two ways: "pairing incomplete", when a side holds two unbounded
-components, and the overflow below.
-
-A mass line is held flat, as parallel lists of cell masses, components,
-positions and densities.  One walk over the merged mass cuts places each
-cut on both lines inline and writes every affine piece once, through its
-slots; a touching segment with the same slope and offset extends the piece
-before it.  On the cell of the previous cut, a cut's position is the one
-already computed there.  A slope or offset outside the float range (a
-density ratio that overflows or underflows, or an offset that overflows) is
-rejected as an overflow.
+isometric, and raises "no measure-preserving map" elsewhere.  A true verdict
+fails to build in exactly two ways: "pairing incomplete", when a side holds
+two unbounded components, and a slope or offset outside the float range,
+rejected as an overflow.  A map built by hand is checked as it is built:
+its component indexes are ints within its two component counts.
 
 On step functions the transport acts by ``lift`` (coefficients ride along,
-intervals move), and ``transport_set`` maps interval sets.  Both run one
-walk per source component, ``_images``: ``merge_pieces`` runs the source
-pieces against that component's affine pieces sorted by start, each cell's
-image ends are computed inline by ``AffinePiece.image_of``'s rule, and each
-piece's covered length is checked when the walk leaves it.  ``lift`` joins
-touching images of one piece in the walk and sorts the joined cells into
-the step-function builder.  An image that is empty in floats (shorter than
-the target's float spacing) is dropped and its cell counts as unmapped:
-within the 1e-9 cover sliver it is lost, beyond it both functions raise
-"collapsed image".
-
+intervals move), and ``transport_set`` maps interval sets.  Both require
+every piece to be mapped up to a 1e-9 relative sliver of its length; past
+that they raise "collapsed image" where the loss is images shorter than the
+target's float spacing, and "unmapped support" otherwise.
 ``weighting_isometry`` divides by a density to move between the plain and
 the density-weighted norms.  ``verify_isometry`` is the numerical end of
 the story: seeded random step functions, norms on both sides, worst
@@ -48,7 +32,7 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from ._value import Value, integer, real
+from ._value import Value, integer, real, records
 from .errors import LogSpaceError
 from .extreal import ExtendedReal
 from .measure import (
@@ -118,15 +102,36 @@ _set_image_stop = AffinePiece.image_stop.__set__
 
 
 class ComponentTransport(Value):
+    """The affine pieces that map source component `src` into target component `dst`."""
+
     src: int
     dst: int
     pieces: tuple[AffinePiece, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "src", integer(self.src, "component index"))
+        object.__setattr__(self, "dst", integer(self.dst, "component index"))
+        object.__setattr__(self, "pieces", records(self.pieces, AffinePiece, "transport pieces"))
+
 
 class TransportMap(Value):
+    """Entries between a source of `src_components` components and a target of `dst_components`."""
+
     entries: tuple[ComponentTransport, ...]
     src_components: int = 1
     dst_components: int = 1
+
+    def __post_init__(self):
+        for name in ("src_components", "dst_components"):
+            n = integer(getattr(self, name), name)
+            if n < 1:
+                raise LogSpaceError(f"{name} must be >= 1, got {n}")
+            object.__setattr__(self, name, n)
+        object.__setattr__(self, "entries", records(self.entries, ComponentTransport, "transport entries"))
+        for e in self.entries:
+            for i, count in ((e.src, self.src_components), (e.dst, self.dst_components)):
+                if not 0 <= i < count:
+                    raise LogSpaceError(f"component index {i} out of range")
 
 
 class IsometryReport(Value):
@@ -182,6 +187,11 @@ def _match_mass_lines(
     The mass cuts of both lines, closer than eps merged, split the lines into
     segments; each segment maps the source cell it lies in onto the target
     cell, and touching segments of one pair with one affine law are joined.
+    One walk over the cuts places each cut on both lines inline and writes
+    every affine piece once, through its slots; on the cell of the previous
+    cut, a cut's position is the one already computed there.  A slope or
+    offset outside the float range (a density ratio that overflows or
+    underflows, or an offset that overflows) is rejected as an overflow.
     """
     inf = math.inf
     sm0, sm1, scomp, sp0, sp1, sdens = src
@@ -293,7 +303,10 @@ def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportM
 def _check_cover(p, covered: float, lost: float) -> None:
     """A piece must be mapped up to a 1e-9 relative sliver, an unbounded one out to +inf.
 
-    `covered` is its mapped length and `lost` the length whose image is empty in floats.
+    `covered` is its mapped length and `lost` the length whose image is empty
+    in floats.  Within the sliver a lost length is dropped; beyond it, a
+    piece that the lost length alone leaves short raises "collapsed image",
+    any other "unmapped support".
     """
     length = p.stop - p.start
     if math.isinf(length):

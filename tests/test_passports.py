@@ -396,6 +396,33 @@ class TestDecisions:
                     assert ab == dec(b, a).verdict
 
 
+# Known defects of the closed-form comparison: `_third_rows_diff` compares
+# the parameters of two closed forms at 1e-12 relative, not their terms.  A
+# comparison by term value (ROADMAP item 7) should make both pass.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="parameters compared, not terms: r differs by 1e-13 relative, within the 1e-12 "
+    "tolerance, yet log-terms differ by 0.0999 at i = 10^12 and the decision is true",
+)
+def test_closed_forms_whose_terms_drift_apart_are_not_isometric():
+    a, b = ClosedForm("GEOM", (1.0, 2.0)), ClosedForm("GEOM", (1.0, 2.0 * (1 + 1e-13)))
+    assert b.log_term(10**12) - a.log_term(10**12) == pytest.approx(0.0999, abs=5e-4)
+    assert not decide_isometric_external(P(m=a), P(m=b)).verdict
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="parameters compared, not terms: b = 0 and b = 1e-300 are not close at 1e-12 "
+    "relative, yet every term a*i + b is the same float and the third rows are called different",
+)
+def test_closed_forms_with_equal_terms_are_isometric():
+    a, b = ClosedForm("LINEAR", (1.0, 0.0)), ClosedForm("LINEAR", (1.0, 1e-300))
+    assert all(a.term(i) == b.term(i) for i in (1, 2, 10, 10**6, 10**12))
+    assert decide_isometric_external(P(m=a), P(m=b)).verdict
+
+
 class TestPassportValidation:
     def test_rows_must_increase(self):
         with pytest.raises(LogSpaceError):

@@ -342,6 +342,62 @@ class TestLift:
         ]
 
 
+class TestHandBuiltMaps:
+    """A map built by hand is checked as it is built: integer indexes in range, counts >= 1."""
+
+    @staticmethod
+    def _pieces():
+        (entry,) = transport_between_spaces(interval_space(0, 1), interval_space(0, 2, 0.5)).entries
+        return entry.pieces
+
+    @pytest.mark.parametrize("src, dst", [(0, -1), (0, 5), (-1, 0), (1, 0)])
+    def test_an_index_out_of_range_is_rejected(self, src, dst):
+        # dst=-1 made transport_set drop the support and lift fail with UnboundLocalError;
+        # dst=5 made transport_set return parts in component 5 and lift fail with IndexError
+        bad = src if src else dst
+        with pytest.raises(LogSpaceError, match=f"^component index {bad} out of range$"):
+            TransportMap((ComponentTransport(src, dst, self._pieces()),), 1, 1)
+
+    def test_an_index_in_range_of_the_counts_is_accepted(self):
+        tmap = TransportMap((ComponentTransport(1, 2, self._pieces()),), 2, 3)
+        assert tmap.entries[0].dst == 2
+
+    @pytest.mark.parametrize("index", [True, False, 0.0, "0", None])
+    @pytest.mark.parametrize("field", ["src", "dst"])
+    def test_indexes_are_integers_not_bools(self, field, index):
+        other = {"src": 0, "dst": 0, field: index}
+        with pytest.raises(LogSpaceError, match=f"^component index must be an integer, got {re.escape(repr(index))}$"):
+            ComponentTransport(other["src"], other["dst"], self._pieces())
+
+    @pytest.mark.parametrize("count", [True, 1.0, "1", None])
+    @pytest.mark.parametrize("field", ["src_components", "dst_components"])
+    def test_counts_are_integers_not_bools(self, field, count):
+        with pytest.raises(LogSpaceError, match=f"^{field} must be an integer, got {re.escape(repr(count))}$"):
+            TransportMap((), **{field: count})
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("field", ["src_components", "dst_components"])
+    def test_counts_are_at_least_one(self, field, count):
+        with pytest.raises(LogSpaceError, match=f"^{field} must be >= 1, got {count}$"):
+            TransportMap((), **{field: count})
+
+    def test_an_int_subclass_index_is_stored_as_an_int(self):
+        class Label(int):
+            pass
+
+        entry = ComponentTransport(Label(0), Label(0), self._pieces())
+        assert type(entry.src) is int and type(entry.dst) is int
+        tmap = TransportMap((entry,), Label(1), Label(1))
+        assert type(tmap.src_components) is int and type(tmap.dst_components) is int
+
+    def test_a_rebuilt_map_equals_the_built_one(self):
+        built = transport_between_spaces(interval_space(0, 1), interval_space(0, 2, 0.5))
+        (entry,) = built.entries
+        rebuilt = TransportMap((ComponentTransport(entry.src, entry.dst, entry.pieces),), 1, 1)
+        assert rebuilt == built
+        assert render_transport(rebuilt) == render_transport(built)
+
+
 class TestCollapsedImages:
     """Images shorter than the target's float spacing near 1e16 (2.0) have zero length."""
 

@@ -170,7 +170,7 @@ CASES = {
     "TransportMap": (
         lambda: TransportMap((_transport(),), 1, 2),
         lambda: TransportMap(entries=(_transport(),), dst_components=2),
-        lambda: TransportMap((_transport(),)),
+        lambda: TransportMap((_transport(),), 1, 3),
         "TransportMap(entries=(ComponentTransport(src=0, dst=1, pieces=(AffinePiece(start=0.0,"
         " stop=1.0, slope=2.0, offset=3.0, image_start=3.0, image_stop=5.0),)),),"
         " src_components=1, dst_components=2)",
@@ -349,6 +349,40 @@ def test_from_pieces_names_an_integer_index_out_of_range(index):
     two = MeasureSpace((Component(constant_density(0, 1)), Component(constant_density(2, 3))))
     with pytest.raises(LogSpaceError, match=f"^component index {index} out of range$"):
         StepFunction.from_pieces(two, [(index, 0, 0.5, 1)])
+
+
+# (constructor given a tuple where a record belongs, the field in the message,
+# the record it expects)
+RECORD_FIELDS = [
+    (lambda: StepFunction((((0.0, 1.0, 1),),)), "step function pieces", "StepPiece"),
+    (lambda: MeasureSpace(((1, 2),)), "space components", "Component"),
+    (lambda: Component((0, 1)), "component density", "PiecewiseDensity"),
+    (lambda: PiecewiseDensity(((0.0, 1.0, 1.0),)), "density pieces", "IntervalPiece"),
+    (lambda: ComponentTransport(0, 0, ((0.0, 1.0, 2.0, 0.0, 0.0, 2.0),)), "transport pieces", "AffinePiece"),
+    (lambda: TransportMap(((0, 0, (_affine(),)),)), "transport entries", "ComponentTransport"),
+]
+
+
+@pytest.mark.parametrize("build, name, record", RECORD_FIELDS)
+def test_record_fields_reject_tuples_by_name(build, name, record):
+    with pytest.raises(LogSpaceError, match=rf"^{name} must be (a )?{record}( records)?, got \("):
+        build()
+
+
+# (constructor given something that is not a sequence, the field in the message, the record)
+SEQUENCE_FIELDS = [
+    (lambda: StepFunction((StepPiece(0, 1, 2),)), "step function pieces", "StepPiece"),
+    (lambda: MeasureSpace(Component(constant_density(0, 1))), "space components", "Component"),
+    (lambda: PiecewiseDensity(IntervalPiece(0, 1, 2)), "density pieces", "IntervalPiece"),
+    (lambda: ComponentTransport(0, 0, _affine()), "transport pieces", "AffinePiece"),
+    (lambda: TransportMap(_transport()), "transport entries", "ComponentTransport"),
+]
+
+
+@pytest.mark.parametrize("build, name, record", SEQUENCE_FIELDS)
+def test_record_sequences_reject_a_single_record_by_name(build, name, record):
+    with pytest.raises(LogSpaceError, match=rf"^{name} must be a sequence of {record} records, got \w+\("):
+        build()
 
 
 def test_real_fields_take_integers_as_floats():
