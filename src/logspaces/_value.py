@@ -2,10 +2,11 @@
 
 The readers (``real``, ``finite_real``, ``coefficient``, ``integer``) are the
 package's one rule for what counts as a number; none takes a bool.
-``records`` reads a field that holds a sequence of records.  The base
-replaces ``dataclasses``, whose import (it loads ``inspect``) and per-class
-code generation took about a fifth of every command-line call: its methods
-are written once and read each class's field names from its annotations.
+``sequence`` reads a field that holds a sequence, and ``records`` one that
+holds a sequence of records.  The base replaces ``dataclasses``, whose
+import (it loads ``inspect``) and per-class code generation took about a
+fifth of every command-line call: its methods are written once and read
+each class's field names from its annotations.
 """
 
 from __future__ import annotations
@@ -47,12 +48,19 @@ def integer(value, name: str, what: str = "an integer") -> int:
     return _read_number(value, name, int, int, what)
 
 
+def sequence(values, name: str, what: str = "a sequence") -> tuple:
+    """`values`, the field `name`, as a tuple; a value that is not iterable is refused as not `what`."""
+    if values.__class__ is tuple:
+        return values
+    try:
+        return tuple(values)
+    except TypeError:
+        raise LogSpaceError(f"{name} must be {what}, got {values!r}") from None
+
+
 def records(values, cls: type, name: str) -> tuple:
     """`values`, the field `name`, as a tuple of `cls` instances."""
-    try:
-        out = tuple(values)
-    except TypeError:
-        raise LogSpaceError(f"{name} must be a sequence of {cls.__name__} records, got {values!r}") from None
+    out = sequence(values, name, f"a sequence of {cls.__name__} records")
     for v in out:
         if not isinstance(v, cls):
             raise LogSpaceError(f"{name} must be {cls.__name__} records, got {v!r}")

@@ -17,7 +17,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable, Iterator, Sequence
 
-from ._value import Value, finite_real, integer, real, records
+from ._value import Value, finite_real, integer, real, records, sequence
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum, ext_sum
 
@@ -178,7 +178,7 @@ class MeasurableSet(Value):
 
     def __post_init__(self):
         parts = []
-        for c, a, b in self.parts:
+        for c, a, b in sequence(self.parts, "measurable set parts"):
             # a plain int passes on the first test: every transport_set result is built here
             if c.__class__ is not int:
                 c = integer(c, "component index")

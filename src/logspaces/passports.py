@@ -19,7 +19,7 @@ import operator
 from math import log
 from typing import Union
 
-from ._value import Value, finite_real, integer, real
+from ._value import Value, finite_real, integer, real, sequence
 from .errors import LogSpaceError
 from .extreal import ext_sum
 from .measure import MeasureSpace, _weight_groups
@@ -32,7 +32,8 @@ class FiniteList(Value):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple([real(v, "finite measure") for v in self.values]))
+        values = sequence(self.values, "finite measures")
+        object.__setattr__(self, "values", tuple([real(v, "finite measure") for v in values]))
         for v in self.values:
             if not v > 0.0 or math.isinf(v):
                 raise LogSpaceError(f"finite measures must be positive and finite, got {v!r}")
@@ -44,17 +45,27 @@ class FiniteList(Value):
         return self.values[i - 1]
 
 
-# kind: (parameter names, mu_i, log mu_i, (growth class, tie key)), each a
-# function of i and the parameters, or of the parameters alone
+# kind: (parameter names, mu_i, log mu_i, (growth class, tie key), (values
+# compared at 1e-12 relative, values compared exactly)), each a function of i
+# and the parameters, or of the parameters alone.  The compared values fix
+# the terms: two linear sequences differ most, relatively, at i = 1 or as
+# i -> inf, and any change in a geometric ratio r grows without bound.
 _CLOSED_FORMS = {
-    "CONST": (("c",), lambda i, c: c, lambda i, c: log(c), lambda c: (2, 0.0)),
-    "LINEAR": (("a", "b"), lambda i, a, b: a * i + b, lambda i, a, b: log(a * i + b), lambda a, b: (3, 0.0)),
-    "RECIP": (("a",), lambda i, a: a / i, lambda i, a: log(a) - log(i), lambda a: (1, 0.0)),
+    "CONST": (("c",), lambda i, c: c, lambda i, c: log(c), lambda c: (2, 0.0), lambda c: ((c,), ())),
+    "LINEAR": (
+        ("a", "b"),
+        lambda i, a, b: a * i + b,
+        lambda i, a, b: log(a * i + b),
+        lambda a, b: (3, 0.0),
+        lambda a, b: ((a, a + b), ()),
+    ),
+    "RECIP": (("a",), lambda i, a: a / i, lambda i, a: log(a) - log(i), lambda a: (1, 0.0), lambda a: ((a,), ())),
     "GEOM": (
         ("a", "r"),
         lambda i, a, r: a * r**i,
         lambda i, a, r: log(a) + i * log(r),
         lambda a, r: (0 if r < 1.0 else 4, r),
+        lambda a, r: ((a,), (r,)),
     ),
 }
 
@@ -76,10 +87,7 @@ class ClosedForm(Value):
         if row is None:
             raise LogSpaceError(f"unknown closed form kind {self.kind!r}")
         names = row[0]
-        try:
-            params = tuple(self.params)
-        except TypeError:
-            raise LogSpaceError(f"{self.kind} parameters must be a sequence, got {self.params!r}") from None
+        params = sequence(self.params, f"{self.kind} parameters")
         if len(params) != len(names):
             raise LogSpaceError(f"{self.kind} takes {len(names)} parameter(s)")
         params = tuple([finite_real(p, f"{self.kind} parameter {name}") for name, p in zip(names, params)])
@@ -139,10 +147,7 @@ def ratio_bounded(a: MeasureSeq, b: MeasureSeq) -> bool:
 
 def _label_row(row, name: str) -> tuple[int, ...]:
     """The row as a tuple of strictly increasing non-negative int labels (no bools)."""
-    labels = tuple(row)
-    for w in labels:
-        if w.__class__ is not int:  # a plain int passes on the first test
-            integer(w, f"{name} row labels", "integers")
+    labels = tuple([integer(w, f"{name} row labels", "integers") for w in sequence(row, f"{name} row")])
     if any(w < 0 for w in labels) or any(x >= y for x, y in zip(labels, labels[1:])):
         raise LogSpaceError(f"{name} row must be strictly increasing non-negative labels")
     return labels
@@ -161,6 +166,8 @@ class Passport(Value):
 
     def __post_init__(self):
         object.__setattr__(self, "row_s", _label_row(self.row_s, "first"))
+        if not isinstance(self.row_m, (FiniteList, ClosedForm)):
+            raise LogSpaceError(f"third row must be a FiniteList or a ClosedForm, got {self.row_m!r}")
         if self.row_u is None:
             if not isinstance(self.row_m, ClosedForm):
                 raise LogSpaceError("implicit second row requires a closed-form third row")
@@ -234,7 +241,8 @@ def _third_rows_diff(ma: MeasureSeq, mb: MeasureSeq) -> str | None:
     if isinstance(ma, FiniteList) and isinstance(mb, FiniteList):
         return _rows_diff("third", ma.values, mb.values, _same_measure, format_real)
     if isinstance(ma, ClosedForm) and isinstance(mb, ClosedForm):
-        if ma.kind != mb.kind or not all(map(_same_measure, ma.params, mb.params)):
+        (close_a, exact_a), (close_b, exact_b) = [_CLOSED_FORMS[m.kind][4](*m.params) for m in (ma, mb)]
+        if ma.kind != mb.kind or exact_a != exact_b or not all(map(_same_measure, close_a, close_b)):
             return f"third rows differ: {_closed_form_text(ma)} vs {_closed_form_text(mb)}"
         return None
     raise LogSpaceError("incomparable sequences")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterator
 
 from .measure import (
     Component,
@@ -23,6 +24,10 @@ from .measure import (
 )
 from .stepfunctions import EXTERNAL, Generalized, Internal, NormKind, StepFunction
 
+# a drawn carrier starts uniform in _START_RANGE and, if bounded, has a
+# length uniform in _LENGTH_RANGE
+_START_RANGE = (-4.0, 4.0)
+_LENGTH_RANGE = (0.5, 3.0)
 # functions and sets are drawn on [start, start + _WINDOW) of every carrier,
 # bounded or not; an unbounded carrier's density breakpoints fall there too
 _WINDOW = 4.0
@@ -63,12 +68,12 @@ def random_space(
     used_unbounded = False
     comps = []
     for _ in range(n):
-        start = rng.uniform(-4.0, 4.0)
+        start = rng.uniform(*_START_RANGE)
         if not used_unbounded and rng.random() < unbounded_prob:
             used_unbounded = True
             stop = math.inf
         else:
-            stop = start + rng.uniform(0.5, 3.0)
+            stop = start + rng.uniform(*_LENGTH_RANGE)
         comps.append(_drawn_component(rng, start, stop))
     return MeasureSpace(tuple(comps))
 
@@ -91,16 +96,20 @@ def random_kind(rng: random.Random, space: MeasureSpace) -> NormKind:
     return Generalized(random_density(rng, space), random_density(rng, space))
 
 
+def _windows(space: MeasureSpace) -> Iterator[tuple[int, float, float]]:
+    """(index, lo, hi) for each realizable component: its carrier clipped to the window."""
+    for i, comp in enumerate(space.components):
+        if comp.realizable:
+            lo, hi = comp.carrier
+            yield i, lo, min(hi, lo + _WINDOW)
+
+
 def random_step_function(rng: random.Random, space: MeasureSpace, max_pieces: int = 8) -> StepFunction:
     """Bounded-support step function; coefficients have modulus in [0, _MAX_MODULUS]."""
     specs = []
-    for i, comp in enumerate(space.components):
-        if not comp.realizable:
-            continue
+    for i, lo, hi in _windows(space):
         if len(space.components) > 1 and rng.random() < 0.15:
             continue
-        lo, hi = comp.carrier
-        hi = min(hi, lo + _WINDOW)
         n = rng.randint(1, max_pieces)
         bounds = sorted(rng.uniform(lo, hi) for _ in range(n + 1))
         for a, b in zip(bounds, bounds[1:]):
@@ -116,11 +125,7 @@ def random_measurable_set(
     rng: random.Random, space: MeasureSpace, max_intervals: int = 3
 ) -> MeasurableSet:
     parts = []
-    for i, comp in enumerate(space.components):
-        if not comp.realizable:
-            continue
-        lo, hi = comp.carrier
-        hi = min(hi, lo + _WINDOW)
+    for i, lo, hi in _windows(space):
         k = rng.randint(0, max_intervals)
         pts = sorted(rng.uniform(lo, hi) for _ in range(2 * k))
         for a, b in zip(pts[0::2], pts[1::2]):
@@ -131,8 +136,8 @@ def random_measurable_set(
 
 def _component_with_mass(rng: random.Random, mass: float) -> Component:
     """Bounded weight-0 component whose total measure is `mass` up to rounding."""
-    start = rng.uniform(-4.0, 4.0)
-    stop = start + rng.uniform(0.5, 3.0)
+    start = rng.uniform(*_START_RANGE)
+    stop = start + rng.uniform(*_LENGTH_RANGE)
     pieces = _drawn_component(rng, start, stop).density.pieces
     actual = math.fsum(p.length * p.value for p in pieces)
     s = mass / actual
@@ -148,7 +153,7 @@ def equal_passport_partner(rng: random.Random, src: MeasureSpace) -> MeasureSpac
         # infinite group: any finite prefix plus one unbounded tail matches
         if rng.random() < 0.5:
             comps.append(_component_with_mass(rng, rng.uniform(0.5, 2.0)))
-        comps.append(_drawn_component(rng, rng.uniform(-4.0, 4.0), math.inf))
+        comps.append(_drawn_component(rng, rng.uniform(*_START_RANGE), math.inf))
     else:
         n = rng.randint(1, 2)
         weights = [rng.uniform(0.2, 1.0) for _ in range(n)]
@@ -172,5 +177,5 @@ def random_matched_components_pair(rng: random.Random) -> tuple[MeasureSpace, Me
         if c.measure().is_finite:
             comps.append(_component_with_mass(rng, c.measure().value))
         else:
-            comps.append(_drawn_component(rng, rng.uniform(-4.0, 4.0), math.inf))
+            comps.append(_drawn_component(rng, rng.uniform(*_START_RANGE), math.inf))
     return src, MeasureSpace(tuple(comps))

@@ -3,11 +3,12 @@
 A step function holds finitely many constant complex pieces per realizable
 component and is zero elsewhere.  Canonical form (sorted, disjoint, adjacent
 equal pieces merged, zero pieces dropped) is enforced by one builder,
-``_from_cells``, through which every operation and ``from_pieces`` build
-their pieces, so equality of step functions is equality of their canonical
-data.  The builder checks every piece as ``StepPiece`` does (finite start
-before its stop, finite coefficient) and rejects overlaps, so a NaN or
-reversed bound, or a product that overflows, raises a ``LogSpaceError``.
+``_from_cells``, through which the constructor, every operation and
+``from_pieces`` build their pieces, so equality of step functions is
+equality of their canonical data.  The builder checks every piece as
+``StepPiece`` does (finite start before its stop, finite coefficient) and
+rejects overlaps, so a NaN or reversed bound, or a product that overflows,
+raises a ``LogSpaceError``.
 In ``add`` and ``multiply`` a gap counts as ``0j``.
 
 Norm kinds:
@@ -30,7 +31,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable
 
-from ._value import Value, coefficient, integer, real, records
+from ._value import Value, coefficient, integer, real, records, sequence
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
@@ -131,17 +132,18 @@ def _wrap(pieces: tuple[tuple[StepPiece, ...], ...]) -> "StepFunction":
 class StepFunction(Value):
     """Complex simple function; one canonical piece tuple per component.
 
-    The constructor checks only that each component holds a sequence of
-    ``StepPiece`` records, sorted and disjoint.
+    The constructor takes a sequence of ``StepPiece`` records per component,
+    sorted and disjoint, and builds each through ``_from_cells``, so a
+    function built by hand equals the one the operations build.
     """
 
     pieces: tuple[tuple[StepPiece, ...], ...]
 
     def __post_init__(self):
-        pieces = tuple([records(ps, StepPiece, "step function pieces") for ps in self.pieces])
-        if any(q.start < p.stop for ps in pieces for p, q in zip(ps, ps[1:])):
-            raise LogSpaceError("step function pieces must be disjoint")
-        object.__setattr__(self, "pieces", pieces)
+        components = sequence(self.pieces, "step function components")
+        given = [records(ps, StepPiece, "step function pieces") for ps in components]
+        built = [_from_cells([(p.start, p.stop, p.coef) for p in ps]) for ps in given]
+        object.__setattr__(self, "pieces", tuple(built))
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "StepFunction":
@@ -285,17 +287,18 @@ class External(NormKind, Value):
 EXTERNAL = External()
 
 
-def _as_space_density(h) -> SpaceDensity:
+def _as_space_density(h, name: str) -> SpaceDensity:
+    """`h`, the field `name`: one density, or a sequence of densities, one per component."""
     if isinstance(h, PiecewiseDensity):
         return (h,)
-    return tuple(h)
+    return records(h, PiecewiseDensity, name)
 
 
 class Internal(NormKind, Value):
     h: SpaceDensity
 
     def __post_init__(self):
-        object.__setattr__(self, "h", _as_space_density(self.h))
+        object.__setattr__(self, "h", _as_space_density(self.h, "Internal h"))
 
 
 class Generalized(NormKind, Value):
@@ -303,8 +306,8 @@ class Generalized(NormKind, Value):
     h2: SpaceDensity
 
     def __post_init__(self):
-        object.__setattr__(self, "h1", _as_space_density(self.h1))
-        object.__setattr__(self, "h2", _as_space_density(self.h2))
+        object.__setattr__(self, "h1", _as_space_density(self.h1, "Generalized h1"))
+        object.__setattr__(self, "h2", _as_space_density(self.h2, "Generalized h2"))
 
 
 def _kind_weights(space: MeasureSpace, kind: NormKind) -> tuple[SpaceDensity, SpaceDensity]:

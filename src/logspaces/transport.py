@@ -12,8 +12,11 @@ A transport defers to the isometry decision: it is built only where
 isometric, and raises "no measure-preserving map" elsewhere.  A true verdict
 fails to build in exactly two ways: "pairing incomplete", when a side holds
 two unbounded components, and a slope or offset outside the float range,
-rejected as an overflow.  A map built by hand is checked as it is built:
-its component indexes are ints within its two component counts.
+rejected as an overflow.  A map built by hand is checked as it is built,
+so that it takes the form the construction gives: its component indexes
+are ints within its two component counts, each source component's affine
+pieces, read in entry order, ascend without overlap, and no piece's image
+is reversed.
 
 On step functions the transport acts by ``lift`` (coefficients ride along,
 intervals move), and ``transport_set`` maps interval sets.  Both require
@@ -77,6 +80,11 @@ class AffinePiece(Value):
             raise LogSpaceError("affine piece must satisfy start < stop")
         if not self.slope > 0.0:
             raise LogSpaceError("affine piece slope must be > 0")
+        # equal ends are legal: a built map holds images that collapse in floats
+        if self.image_start > self.image_stop:
+            raise LogSpaceError(
+                f"affine piece must satisfy image_start <= image_stop, got [{self.image_start}, {self.image_stop})"
+            )
 
     def image_of(self, x: float) -> float:
         """Map a point; endpoints snap to the stored image interval ends.
@@ -128,10 +136,17 @@ class TransportMap(Value):
                 raise LogSpaceError(f"{name} must be >= 1, got {n}")
             object.__setattr__(self, name, n)
         object.__setattr__(self, "entries", records(self.entries, ComponentTransport, "transport entries"))
+        ends: dict[int, float] = {}  # the stop of each source's last piece so far
         for e in self.entries:
             for i, count in ((e.src, self.src_components), (e.dst, self.dst_components)):
                 if not 0 <= i < count:
                     raise LogSpaceError(f"component index {i} out of range")
+            end = ends.get(e.src, -math.inf)
+            for p in e.pieces:
+                if p.start < end:
+                    raise LogSpaceError(f"transport pieces of component {e.src} overlap or are out of order")
+                end = p.stop
+            ends[e.src] = end
 
 
 class IsometryReport(Value):
@@ -324,13 +339,14 @@ def _images(tmap: TransportMap, sources: dict[int, Sequence], join: bool = False
     """(source piece, dst component, image start, image stop) for every cell of the sources.
 
     `sources` maps a source component to its sorted, disjoint pieces.  One
-    walk per component merges them with that component's affine pieces,
-    sorted by start, whose destinations sit in a parallel list.  A cell's
-    image ends follow ``AffinePiece.image_of``.  With `join`, touching
-    images of one piece in one target component are yielded as one.  An
-    image that is empty in floats (shorter than the target's float spacing)
-    is dropped, and its cell counts as unmapped.  Each piece's cover is
-    checked by ``_check_cover`` when the walk leaves it.
+    walk per component merges them with that component's affine pieces, in
+    the ascending order the map holds them, whose destinations sit in a
+    parallel list.  A cell's image ends follow ``AffinePiece.image_of``.
+    With `join`, touching images of one piece in one target component are
+    yielded as one.  An image that is empty in floats (shorter than the
+    target's float spacing) is dropped, and its cell counts as unmapped.
+    Each piece's cover is checked by ``_check_cover`` when the walk leaves
+    it.
     """
     by_src: dict[int, list[ComponentTransport]] = {}
     for entry in tmap.entries:
@@ -339,11 +355,6 @@ def _images(tmap: TransportMap, sources: dict[int, Sequence], join: bool = False
         entries = by_src.get(comp, [])
         affine = [t for e in entries for t in e.pieces]
         dsts = [e.dst for e in entries for _ in e.pieces]
-        starts = [t.start for t in affine]
-        if sorted(starts) != starts:  # only a map built by hand lists its pieces out of order
-            order = sorted(range(len(affine)), key=starts.__getitem__)
-            affine = [affine[k] for k in order]
-            dsts = [dsts[k] for k in order]
         k = 0  # the position of the cell's affine piece
         p = None  # the piece being walked
         for lo, hi, (q, t) in merge_pieces(pieces, affine):
@@ -411,7 +422,7 @@ def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> S
 
     Every piece of f must lie in the carrier of its component's h.
     """
-    h = _as_space_density(h)
+    h = _as_space_density(h, "weighting density")
     if len(h) != len(f.pieces):
         raise LogSpaceError("kind/space mismatch")
     out = []

@@ -359,16 +359,18 @@ def test_glued_lift_and_transport_set_match_entry_scan_at_benchmark_size(n):
     _assert_lift_and_set_match_entry_scan(tmap, src, n, rng)
 
 
-def test_a_map_listing_its_pieces_out_of_order_matches_entry_scan():
+def test_a_map_listing_its_pieces_out_of_order_is_rejected_by_name():
+    # the walk takes each source's affine pieces in the order the map holds
+    # them, so a map whose pieces do not ascend is refused as it is built
     rng = random.Random(5)
     src, dst = _sized_pair(rng, 250, 3, False)
     built = transport_between_spaces(src, dst)
-    tmap = TransportMap(
-        tuple(ComponentTransport(e.src, e.dst, e.pieces[::-1]) for e in reversed(built.entries)),
-        built.src_components,
-        built.dst_components,
-    )
-    _assert_lift_and_set_match_entry_scan(tmap, src, 250, rng)
+    for entries in (
+        tuple(ComponentTransport(e.src, e.dst, e.pieces[::-1]) for e in built.entries),
+        tuple(reversed(built.entries)),
+    ):
+        with pytest.raises(LogSpaceError, match="^transport pieces of component 0 overlap or are out of order$"):
+            TransportMap(entries, built.src_components, built.dst_components)
 
 
 def test_a_thousand_piece_map_matches_the_frozen_construction():

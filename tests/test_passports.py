@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logspaces import (
     ClosedForm,
@@ -396,31 +398,65 @@ class TestDecisions:
                     assert ab == dec(b, a).verdict
 
 
-# Known defects of the closed-form comparison: `_third_rows_diff` compares
-# the parameters of two closed forms at 1e-12 relative, not their terms.  A
-# comparison by term value (ROADMAP item 7) should make both pass.
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="parameters compared, not terms: r differs by 1e-13 relative, within the 1e-12 "
-    "tolerance, yet log-terms differ by 0.0999 at i = 10^12 and the decision is true",
-)
+# Closed forms are compared by the values that fix their terms: CONST c and
+# RECIP a, LINEAR a and a + b, each at 1e-12 relative, and GEOM a at 1e-12
+# with r exactly.
 def test_closed_forms_whose_terms_drift_apart_are_not_isometric():
+    # r differs by 1e-13 relative, yet the log-terms differ by 0.0999 at i = 10^12
     a, b = ClosedForm("GEOM", (1.0, 2.0)), ClosedForm("GEOM", (1.0, 2.0 * (1 + 1e-13)))
     assert b.log_term(10**12) - a.log_term(10**12) == pytest.approx(0.0999, abs=5e-4)
     assert not decide_isometric_external(P(m=a), P(m=b)).verdict
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="parameters compared, not terms: b = 0 and b = 1e-300 are not close at 1e-12 "
-    "relative, yet every term a*i + b is the same float and the third rows are called different",
-)
 def test_closed_forms_with_equal_terms_are_isometric():
+    # b = 0 and b = 1e-300 are far apart relatively, yet every term a*i + b is the same float
     a, b = ClosedForm("LINEAR", (1.0, 0.0)), ClosedForm("LINEAR", (1.0, 1e-300))
     assert all(a.term(i) == b.term(i) for i in (1, 2, 10, 10**6, 10**12))
     assert decide_isometric_external(P(m=a), P(m=b)).verdict
+
+
+_INDEXES = (1, 2, 10, 10**3, 10**6, 10**12)
+
+
+def _terms_agree(a, b):
+    """Whether the terms of a and b agree to 1e-12 relative at every index in _INDEXES.
+
+    Read off the log-terms, which do not overflow: their difference is the
+    log of the terms' ratio.  Each log-term is rounded, to an ulp or two of
+    its own size and of its term's.
+    """
+    for i in _INDEXES:
+        la, lb = a.log_term(i), b.log_term(i)
+        if abs(la - lb) > 1e-12 + 1e-15 + 4 * math.ulp(max(abs(la), abs(lb))):
+            return False
+    return True
+
+
+@st.composite
+def _nearby_closed_forms(draw):
+    """A closed form and one whose parameters are each moved by up to 3e-12 relative."""
+    kind = draw(st.sampled_from(["CONST", "LINEAR", "RECIP", "GEOM"]))
+    x = draw(st.floats(1e-3, 1e3))
+    if kind == "LINEAR":  # b from -0.999 a, where a + b is small, up to 1e3 a
+        params = (x, x * draw(st.floats(-0.999, 1e3)))
+    elif kind == "GEOM":
+        params = (x, 10.0 ** draw(st.floats(-1.0, 1.0)))
+    else:
+        params = (x,)
+    nudge = st.one_of(st.just(0), st.integers(-30, 30))  # a parameter left as it is, often
+    nudges = draw(st.lists(nudge, min_size=len(params), max_size=len(params)))
+    return ClosedForm(kind, params), ClosedForm(kind, tuple(p * (1 + k * 1e-13) for p, k in zip(params, nudges)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_nearby_closed_forms())
+def test_closed_forms_called_equal_have_equal_terms(pair):
+    a, b = pair
+    verdict = decide_isometric_external(P(m=a), P(m=b)).verdict
+    if verdict:
+        assert _terms_agree(a, b)
+    if a.kind == "GEOM" and b.kind == "GEOM" and a.params[1] != b.params[1]:
+        assert not verdict
 
 
 class TestPassportValidation:

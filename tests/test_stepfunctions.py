@@ -73,6 +73,21 @@ class TestCanonicalForm:
         with pytest.raises(LogSpaceError, match="step function pieces must be disjoint"):
             log_norm(StepFunction(((StepPiece(5, 6, 1), StepPiece(0, 3, 1)),)), interval_space(0, 10))
 
+    def test_constructor_builds_the_canonical_form(self):
+        # two touching pieces of one coefficient are the one piece their difference is zero against
+        split = StepFunction(((StepPiece(0, 1, 1), StepPiece(1, 2, 1)),))
+        whole = StepFunction(((StepPiece(0, 2, 1),),))
+        assert (split - whole).is_zero
+        assert split == whole and hash(split) == hash(whole)
+        assert split == StepFunction.from_pieces(interval_space(0, 2), [(0, 0, 1, 1), (0, 1, 2, 1)])
+        with pytest.raises(LogSpaceError, match="step function pieces must be disjoint"):
+            StepFunction(((StepPiece(0, 2, 1), StepPiece(1, 3, 2)),))
+
+    def test_constructor_drops_zero_coefficients(self):
+        zero = StepFunction(((StepPiece(0, 1, 0),), (StepPiece(2, 3, 0j), StepPiece(3, 4, 0))))
+        assert zero.is_zero
+        assert zero == StepFunction(((), ())) and hash(zero) == hash(StepFunction(((), ())))
+
     def test_constructor_rejects_a_piece_after_an_unbounded_one(self):
         with pytest.raises(LogSpaceError, match="step function pieces must be disjoint"):
             log_norm(StepFunction(((StepPiece(0, math.inf, 1), StepPiece(5, 6, 1)),)), interval_space(0, 10))

@@ -12,6 +12,7 @@ from logspaces import (
     MeasurableSet,
     MeasureSpace,
     StepFunction,
+    StepPiece,
     add,
     build_passport,
     constant_density,
@@ -396,6 +397,40 @@ class TestHandBuiltMaps:
         rebuilt = TransportMap((ComponentTransport(entry.src, entry.dst, entry.pieces),), 1, 1)
         assert rebuilt == built
         assert render_transport(rebuilt) == render_transport(built)
+
+    # [0, 1) onto [0, 1), [1, 2) onto [0, 1) and [0.5, 1.5) onto [1, 2), by slope 1
+    A, B = AffinePiece(0, 1, 1, 0, 0, 1), AffinePiece(1, 2, 1, -1, 0, 1)
+    OVER = AffinePiece(0.5, 1.5, 1, 0.5, 1, 2)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(0, 0, (A, OVER))],  # an overlap inside one entry
+            [(0, 0, (A,)), (0, 1, (OVER,))],  # an overlap across two entries of one source
+            [(0, 0, (B, A))],  # out of order inside one entry
+            [(0, 1, (B,)), (0, 0, (A,))],  # out of order across two entries
+        ],
+        ids=["overlap-in-entry", "overlap-across-entries", "unsorted-in-entry", "unsorted-across-entries"],
+    )
+    def test_pieces_of_one_source_must_ascend_without_overlap(self, entries):
+        # the overlapping map lifted [0, 1.5) onto [0, 2) without an error
+        with pytest.raises(LogSpaceError, match="^transport pieces of component 0 overlap or are out of order$"):
+            TransportMap(tuple(ComponentTransport(*e) for e in entries), 1, 2)
+
+    def test_pieces_of_different_sources_are_ordered_apart(self):
+        # source 1's entry comes first, and source 0's piece starts after it stops
+        tmap = TransportMap((ComponentTransport(1, 1, (self.A,)), ComponentTransport(0, 0, (self.B,))), 2, 2)
+        f = StepFunction(((StepPiece(1, 2, 5),), (StepPiece(0, 1, 3),)))
+        assert lift(tmap, f) == StepFunction(((StepPiece(0, 1, 5),), (StepPiece(0, 1, 3),)))
+
+    def test_a_reversed_image_is_rejected_by_name(self):
+        # the lift reported it as a "collapsed image"; equal ends, which a built
+        # map can hold, stay legal and are one
+        with pytest.raises(LogSpaceError, match="^affine piece must satisfy image_start <= image_stop, got"):
+            AffinePiece(0, 1, 1, 0, 1, 0)
+        tmap = TransportMap((ComponentTransport(0, 0, (AffinePiece(0, 1, 1, 0, 0.5, 0.5),)),))
+        with pytest.raises(LogSpaceError, match="collapsed image"):
+            lift(tmap, StepFunction(((StepPiece(0, 1, 1),),)))
 
 
 class TestCollapsedImages:

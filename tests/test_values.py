@@ -41,6 +41,7 @@ from logspaces import (
     interval_space,
     log_norm,
     scale,
+    weighting_isometry,
 )
 from logspaces.workspace import Workspace
 
@@ -383,6 +384,44 @@ SEQUENCE_FIELDS = [
 def test_record_sequences_reject_a_single_record_by_name(build, name, record):
     with pytest.raises(LogSpaceError, match=rf"^{name} must be a sequence of {record} records, got \w+\("):
         build()
+
+
+# (constructor given a value that is not a sequence, or a sequence of the
+# wrong records, and the message that names the field)
+NOT_SEQUENCES = [
+    (lambda: FiniteList(5), "finite measures must be a sequence, got 5"),
+    (lambda: MeasurableSet(5), "measurable set parts must be a sequence, got 5"),
+    (lambda: Passport(5), "first row must be a sequence, got 5"),
+    (lambda: Passport((), 5), "second row must be a sequence, got 5"),
+    (lambda: Passport((), (0,), (1.0,)), "third row must be a FiniteList or a ClosedForm, got (1.0,)"),
+    (lambda: StepFunction(5), "step function components must be a sequence, got 5"),
+    (lambda: Internal(5), "Internal h must be a sequence of PiecewiseDensity records, got 5"),
+    (lambda: Generalized(5, 5), "Generalized h1 must be a sequence of PiecewiseDensity records, got 5"),
+    (
+        lambda: Generalized(constant_density(0, 1), 5),
+        "Generalized h2 must be a sequence of PiecewiseDensity records, got 5",
+    ),
+    (lambda: Internal(((0, 1, 2),)), "Internal h must be PiecewiseDensity records, got (0, 1, 2)"),
+    (
+        lambda: weighting_isometry(StepFunction(((),)), 5),
+        "weighting density must be a sequence of PiecewiseDensity records, got 5",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, message", NOT_SEQUENCES)
+def test_sequence_fields_reject_other_values_by_name(build, message):
+    with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_passport_labels_are_stored_as_ints():
+    class Label(int):
+        pass
+
+    p = Passport((Label(0),), (Label(1),), FiniteList((2.0,)))
+    assert type(p.row_s[0]) is int and type(p.row_u[0]) is int
+    assert p == Passport((0,), (1,), FiniteList((2.0,)))
 
 
 def test_real_fields_take_integers_as_floats():
