@@ -158,10 +158,7 @@ class Value:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    # pickling and copying restore the fields past the guard
-    def __getstate__(self):
-        return self._values(self)
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__match_args__, state):
-            _set(self, name, value)
+    # pickles and copies rebuild the record through its constructor, so a
+    # loaded value is checked like any other input
+    def __reduce__(self):
+        return self.__class__, self._values(self)

@@ -178,10 +178,14 @@ class MeasurableSet(Value):
 
     def __post_init__(self):
         parts = []
-        for c, a, b in sequence(self.parts, "measurable set parts"):
-            # a plain int passes on the first test: every transport_set result is built here
-            if c.__class__ is not int:
-                c = integer(c, "component index")
+        for part in sequence(self.parts, "measurable set parts"):
+            try:
+                c, a, b = part
+            except (TypeError, ValueError):
+                raise LogSpaceError(
+                    f"measurable set part must be a (component, start, stop) triple, got {part!r}"
+                ) from None
+            c = integer(c, "component index")
             parts.append((c, real(a, "subinterval start"), real(b, "subinterval stop")))
         parts.sort()
         norm = tuple(parts)

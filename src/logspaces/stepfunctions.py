@@ -156,8 +156,7 @@ class StepFunction(Value):
         """Build and canonicalize from (component, start, stop, coef) entries."""
         per: list[list[tuple[float, float, complex]]] = [[] for _ in space.components]
         for comp, a, b, c in specs:
-            if comp.__class__ is not int:
-                comp = integer(comp, "component index")
+            comp = integer(comp, "component index")
             if not 0 <= comp < len(per):
                 raise LogSpaceError(f"component index {comp} out of range")
             component = space.components[comp]

@@ -16,7 +16,9 @@ rejected as an overflow.  A map built by hand is checked as it is built,
 so that it takes the form the construction gives: its component indexes
 are ints within its two component counts, each source component's affine
 pieces, read in entry order, ascend without overlap, and no piece's image
-is reversed.
+is reversed.  The same walk groups the pieces by source component, each
+with its target, and ``lift`` and ``transport_set`` read that grouping,
+not the entries.
 
 On step functions the transport acts by ``lift`` (coefficients ride along,
 intervals move), and ``transport_set`` maps interval sets.  Both require
@@ -136,17 +138,20 @@ class TransportMap(Value):
                 raise LogSpaceError(f"{name} must be >= 1, got {n}")
             object.__setattr__(self, name, n)
         object.__setattr__(self, "entries", records(self.entries, ComponentTransport, "transport entries"))
-        ends: dict[int, float] = {}  # the stop of each source's last piece so far
+        by_source: dict[int, tuple[list[AffinePiece], list[int]]] = {}  # each source's pieces, their targets
         for e in self.entries:
             for i, count in ((e.src, self.src_components), (e.dst, self.dst_components)):
                 if not 0 <= i < count:
                     raise LogSpaceError(f"component index {i} out of range")
-            end = ends.get(e.src, -math.inf)
+            affine, dsts = by_source.setdefault(e.src, ([], []))
+            end = affine[-1].stop if affine else -math.inf
             for p in e.pieces:
                 if p.start < end:
                     raise LogSpaceError(f"transport pieces of component {e.src} overlap or are out of order")
                 end = p.stop
-            ends[e.src] = end
+            affine.extend(e.pieces)
+            dsts.extend([e.dst] * len(e.pieces))
+        self.__dict__["_by_source"] = by_source  # not a field: ==, hash and repr ignore it
 
 
 class IsometryReport(Value):
@@ -339,22 +344,17 @@ def _images(tmap: TransportMap, sources: dict[int, Sequence], join: bool = False
     """(source piece, dst component, image start, image stop) for every cell of the sources.
 
     `sources` maps a source component to its sorted, disjoint pieces.  One
-    walk per component merges them with that component's affine pieces, in
-    the ascending order the map holds them, whose destinations sit in a
-    parallel list.  A cell's image ends follow ``AffinePiece.image_of``.
+    walk per component merges them with that component's affine pieces, as
+    the map's constructor grouped them, whose destinations sit in a parallel
+    list.  A cell's image ends follow ``AffinePiece.image_of``.
     With `join`, touching images of one piece in one target component are
     yielded as one.  An image that is empty in floats (shorter than the
     target's float spacing) is dropped, and its cell counts as unmapped.
     Each piece's cover is checked by ``_check_cover`` when the walk leaves
     it.
     """
-    by_src: dict[int, list[ComponentTransport]] = {}
-    for entry in tmap.entries:
-        by_src.setdefault(entry.src, []).append(entry)
     for comp, pieces in sources.items():
-        entries = by_src.get(comp, [])
-        affine = [t for e in entries for t in e.pieces]
-        dsts = [e.dst for e in entries for _ in e.pieces]
+        affine, dsts = tmap._by_source.get(comp, ((), ()))
         k = 0  # the position of the cell's affine piece
         p = None  # the piece being walked
         for lo, hi, (q, t) in merge_pieces(pieces, affine):
@@ -393,7 +393,10 @@ def transport_set(tmap: TransportMap, mset: MeasurableSet) -> MeasurableSet:
     """Image of an interval set under the transport."""
     # a slice is the plainest object with a start and a stop: one part [a, b)
     sources: dict[int, list[slice]] = {}
+    n = tmap.src_components
     for comp, a, b in mset.parts:
+        if not 0 <= comp < n:
+            raise LogSpaceError(f"component index {comp} out of range")
         sources.setdefault(comp, []).append(slice(a, b))
     return MeasurableSet(tuple([(dst, y0, y1) for _, dst, y0, y1 in _images(tmap, sources)]))
 

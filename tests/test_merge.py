@@ -44,7 +44,7 @@ from logspaces.sampling import (
     random_step_function,
 )
 from logspaces.stepfunctions import _canonical
-from logspaces.transport import ComponentTransport, TransportMap
+from logspaces.transport import AffinePiece, ComponentTransport, TransportMap
 from test_mass_lines import _outcome as map_outcome
 from test_mass_lines import reference_between_spaces
 
@@ -371,6 +371,35 @@ def test_a_map_listing_its_pieces_out_of_order_is_rejected_by_name():
     ):
         with pytest.raises(LogSpaceError, match="^transport pieces of component 0 overlap or are out of order$"):
             TransportMap(entries, built.src_components, built.dst_components)
+
+
+def test_a_source_split_over_two_entries_matches_entry_scan():
+    # source 0's [0, 1) goes to target 0 and its [1, 3) to target 1, with
+    # source 1's entry listed between the two
+    tmap = TransportMap(
+        (
+            ComponentTransport(0, 0, (AffinePiece(0, 1, 1, 0, 0, 1),)),
+            ComponentTransport(1, 0, (AffinePiece(0, 1, 1, 1, 1, 2),)),
+            ComponentTransport(0, 1, (AffinePiece(1, 3, 0.5, -0.5, 0, 1),)),
+        ),
+        2,
+        2,
+    )
+    src = MeasureSpace(interval_space(0, 3).components + interval_space(0, 1).components)
+    rng = random.Random(3)
+    for _ in range(40):
+        f = random_step_function(rng, src, max_pieces=8)
+        mset = random_measurable_set(rng, src, max_intervals=6)
+        got = _outcome(lift, tmap, f)
+        assert not isinstance(got, tuple)  # the map covers both carriers
+        assert _exact(got) == _exact(_outcome(reference_lift, tmap, f))
+        got = _outcome(transport_set, tmap, mset)
+        assert not isinstance(got, tuple)
+        assert _exact(got) == _exact(_outcome(reference_transport_set, tmap, mset))
+    # a piece across the split lands in both targets
+    f = StepFunction(((StepPiece(0.5, 2, 3),), ()))
+    assert lift(tmap, f) == StepFunction(((StepPiece(0.5, 1, 3),), (StepPiece(0, 0.5, 3),)))
+    assert _exact(lift(tmap, f)) == _exact(reference_lift(tmap, f))
 
 
 def test_a_thousand_piece_map_matches_the_frozen_construction():

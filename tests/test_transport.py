@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 
@@ -325,6 +327,18 @@ class TestLift:
             assert lift(t, add(scale(f, a), scale(g, b))) == add(scale(lift(t, f), a), scale(lift(t, g), b))
             assert lift(t, multiply(f, g)) == multiply(lift(t, f), lift(t, g))
 
+    @pytest.mark.parametrize("index", [3, -1, 1])
+    def test_transport_set_names_a_component_the_map_lacks(self, index):
+        # it raised "unmapped support"; measure names the same part this way
+        s = interval_space(0, 1)
+        t = transport_between_spaces(s, interval_space(0, 2, 0.5))
+        mset = MeasurableSet(((0, 0.0, 0.5), (index, 0.0, 0.5)))
+        message = f"^component index {index} out of range$"
+        with pytest.raises(LogSpaceError, match=message):
+            measure(s, mset)
+        with pytest.raises(LogSpaceError, match=message):
+            transport_set(t, mset)
+
     def test_unmapped_support(self):
         s1, s2 = interval_space(0, 1), interval_space(0, 1)
         t = transport_between_spaces(s1, s2)
@@ -390,6 +404,29 @@ class TestHandBuiltMaps:
         assert type(entry.src) is int and type(entry.dst) is int
         tmap = TransportMap((entry,), Label(1), Label(1))
         assert type(tmap.src_components) is int and type(tmap.dst_components) is int
+
+    @pytest.mark.parametrize("glued", [False, True], ids=["between-spaces", "glued"])
+    @pytest.mark.parametrize("duplicate", ["pickle", "deepcopy"])
+    def test_a_copied_map_equals_and_acts_as_the_built_one(self, glued, duplicate):
+        # a copy is rebuilt through the constructor, which groups its pieces by source again
+        rng = random.Random(21)
+        for _ in range(10):
+            if glued:
+                src, dst = random_matched_components_pair(rng)
+                built = glue_transports(list(zip(src.components, dst.components)))
+            else:
+                src, dst = random_equal_passport_pair(rng)
+                built = transport_between_spaces(src, dst)
+            if duplicate == "pickle":
+                copied = pickle.loads(pickle.dumps(built))
+            else:
+                copied = copy.deepcopy(built)
+            assert copied is not built and copied == built
+            assert render_transport(copied) == render_transport(built)
+            f = random_step_function(rng, src, max_pieces=8)
+            mset = random_measurable_set(rng, src, max_intervals=6)
+            assert lift(copied, f) == lift(built, f)
+            assert transport_set(copied, mset) == transport_set(built, mset)
 
     def test_a_rebuilt_map_equals_the_built_one(self):
         built = transport_between_spaces(interval_space(0, 1), interval_space(0, 2, 0.5))

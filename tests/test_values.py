@@ -8,6 +8,7 @@ deleted.  ``Workspace`` is the mutable exception and ``ExtendedReal`` the
 ordered one.
 """
 
+import copy
 import math
 import pickle
 import re
@@ -219,7 +220,51 @@ def test_equality(name):
 def test_hash_and_pickle(name):
     make, make_equal, _, _ = CASES[name]
     assert hash(make()) == hash(make_equal())
-    assert pickle.loads(pickle.dumps(make())) == make()
+    for duplicate in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        assert duplicate(make()) == make()
+
+
+def _past_constructor(cls, *values):
+    """An instance of `cls` holding `values` as its fields, written past every check."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+_OVERLAP = (AffinePiece(0, 1, 1, 0, 0, 1), AffinePiece(0.5, 1.5, 1, 0.5, 1, 2))
+
+# (a value built past its constructor, the constructor's message for it)
+TAMPERED = {
+    "StepPiece": (
+        lambda: _past_constructor(StepPiece, 2.0, 1.0, 1j),
+        "step piece must satisfy start < stop, got [2.0, 1.0)",
+    ),
+    "AffinePiece": (
+        lambda: _past_constructor(AffinePiece, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0),
+        "affine piece must satisfy image_start <= image_stop, got [1.0, 0.0)",
+    ),
+    "TransportMap": (
+        lambda: _past_constructor(TransportMap, (ComponentTransport(0, 0, _OVERLAP),), 1, 1),
+        "transport pieces of component 0 overlap or are out of order",
+    ),
+    "MeasurableSet": (
+        lambda: _past_constructor(MeasurableSet, ((0, 0.0, 2.0), (0, 1.0, 3.0))),
+        "subintervals within a component must be disjoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERED)
+def test_pickles_and_copies_are_checked_by_the_constructor(name):
+    # each one loaded and copied without an error, its fields written past every check
+    make, message = TAMPERED[name]
+    data = pickle.dumps(make())
+    with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
+        pickle.loads(data)
+    for duplicate in (copy.copy, copy.deepcopy):
+        with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
+            duplicate(make())
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -335,6 +380,14 @@ def test_coefficients_take_ints_floats_and_complexes():
 def test_measurable_set_components_are_integers_not_bools(index):
     with pytest.raises(LogSpaceError, match=f"^component index must be an integer, got {re.escape(repr(index))}$"):
         MeasurableSet(((index, 0, 0.5),))
+
+
+@pytest.mark.parametrize("part", [5, None, (0, 1), (0, 1, 2, 3), ()])
+def test_measurable_set_parts_are_triples(part):
+    # a part that does not unpack raised the unpacking's own TypeError or ValueError
+    message = f"measurable set part must be a (component, start, stop) triple, got {part!r}"
+    with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
+        MeasurableSet(((0, 0.0, 0.5), part))
 
 
 @pytest.mark.parametrize("index", [0.0, 1.0, True, False, "0", None])
