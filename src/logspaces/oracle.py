@@ -25,11 +25,9 @@ if TYPE_CHECKING:
 
 
 def _values_on_grid(pieces: Sequence[StepPiece], xs: np.ndarray) -> np.ndarray:
-    """|f| sampled pointwise; zero in the gaps."""
+    """|f| sampled pointwise, for a non-empty list of pieces; zero in the gaps."""
     import numpy as np
 
-    if not pieces:
-        return np.zeros_like(xs)
     starts = np.array([p.start for p in pieces])
     stops = np.array([p.stop for p in pieces])
     mods = np.array([abs(p.coef) for p in pieces])

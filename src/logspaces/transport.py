@@ -14,11 +14,11 @@ fails to build in exactly two ways: "pairing incomplete", when a side holds
 two unbounded components, and a slope or offset outside the float range,
 rejected as an overflow.  A map built by hand is checked as it is built,
 so that it takes the form the construction gives: its component indexes
-are ints within its two component counts, each source component's affine
-pieces, read in entry order, ascend without overlap, and no piece's image
-is reversed.  The same walk groups the pieces by source component, each
-with its target, and ``lift`` and ``transport_set`` read that grouping,
-not the entries.
+are ints within its two component counts; each source component's affine
+pieces, read in entry order, ascend without overlap, and so do the images
+in each target component; and no piece's image is reversed.  The same
+walk groups the pieces by source component, each with its target, and
+``lift`` and ``transport_set`` read that grouping, not the entries.
 
 On step functions the transport acts by ``lift`` (coefficients ride along,
 intervals move), and ``transport_set`` maps interval sets.  Both require
@@ -139,16 +139,21 @@ class TransportMap(Value):
             object.__setattr__(self, name, n)
         object.__setattr__(self, "entries", records(self.entries, ComponentTransport, "transport entries"))
         by_source: dict[int, tuple[list[AffinePiece], list[int]]] = {}  # each source's pieces, their targets
+        image_ends: dict[int, float] = {}  # each target's last image stop
         for e in self.entries:
             for i, count in ((e.src, self.src_components), (e.dst, self.dst_components)):
                 if not 0 <= i < count:
                     raise LogSpaceError(f"component index {i} out of range")
             affine, dsts = by_source.setdefault(e.src, ([], []))
             end = affine[-1].stop if affine else -math.inf
+            image_end = image_ends.get(e.dst, -math.inf)
             for p in e.pieces:
                 if p.start < end:
                     raise LogSpaceError(f"transport pieces of component {e.src} overlap or are out of order")
-                end = p.stop
+                if p.image_start < image_end:
+                    raise LogSpaceError(f"transport images in component {e.dst} overlap or are out of order")
+                end, image_end = p.stop, p.image_stop
+            image_ends[e.dst] = image_end
             affine.extend(e.pieces)
             dsts.extend([e.dst] * len(e.pieces))
         self.__dict__["_by_source"] = by_source  # not a field: ==, hash and repr ignore it
@@ -164,13 +169,13 @@ class IsometryReport(Value):
             raise LogSpaceError("deviation must be >= 0")
 
 
-# A space's concatenated mass line as parallel lists, one entry per density
-# piece: mass interval [m0, m1), component, position interval [p0, p1) and
-# density.
-_MassLine = tuple[list[float], list[float], list[int], list[float], list[float], list[float]]
+# A space's concatenated mass line is a list of cells, one per density piece,
+# each a tuple (m0, m1, component, p0, p1, density): mass interval [m0, m1),
+# component, position interval [p0, p1) and density.
+_Cell = tuple[float, float, int, float, float, float]
 
 
-def _mass_line(space: MeasureSpace) -> tuple[_MassLine, float]:
+def _mass_line(space: MeasureSpace) -> tuple[list[_Cell], float]:
     """The mass line of a space: bounded components first, one unbounded tail.
 
     Returns the line and its end, the running sum (+inf for an unbounded tail).
@@ -179,30 +184,19 @@ def _mass_line(space: MeasureSpace) -> tuple[_MassLine, float]:
     unbounded = [(i, c) for i, c in enumerate(space.components) if c.carrier[1] == math.inf]
     if len(unbounded) > 1:
         raise LogSpaceError("pairing incomplete")
-    m0s: list[float] = []
-    m1s: list[float] = []
-    comps: list[int] = []
-    p0s: list[float] = []
-    p1s: list[float] = []
-    dens: list[float] = []
+    line: list[_Cell] = []
     m = 0.0
     for idx, comp in bounded + unbounded:
         for p in comp.density.pieces:
             start, stop, value = p.start, p.stop, p.value
-            m0s.append(m)
+            m0 = m
             m = math.inf if stop == math.inf else m + (stop - start) * value
-            m1s.append(m)
-            comps.append(idx)
-            p0s.append(start)
-            p1s.append(stop)
-            dens.append(value)
-    return (m0s, m1s, comps, p0s, p1s, dens), m
+            line.append((m0, m, idx, start, stop, value))
+    return line, m
 
 
-def _match_mass_lines(
-    src: _MassLine, src_end: float, dst: _MassLine, dst_end: float
-) -> list[ComponentTransport]:
-    """Affine pieces matching equal mass on the two lines, grouped by component pair.
+def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTransport]:
+    """Affine pieces matching equal mass on the two spaces' lines, grouped by component pair.
 
     The mass cuts of both lines, closer than eps merged, split the lines into
     segments; each segment maps the source cell it lies in onto the target
@@ -214,9 +208,9 @@ def _match_mass_lines(
     underflows, or an offset that overflows) is rejected as an overflow.
     """
     inf = math.inf
-    sm0, sm1, scomp, sp0, sp1, sdens = src
-    dm0, dm1, dcomp, dp0, dp1, ddens = dst
-    pts = sorted(sm0 + dm0)
+    sline, src_end = _mass_line(src)
+    dline, dst_end = _mass_line(dst)
+    pts = sorted([cell[0] for cell in sline + dline])
     if src_end == inf:
         end = inf
         eps = _MEASURE_RTOL * pts[-1]
@@ -233,15 +227,15 @@ def _match_mass_lines(
     entries: list[tuple[int, int, list[AffinePiece]]] = []  # one run per (src, dst) pair
     last = None  # the run's last piece, which a touching segment of the same law extends
     s_prev = d_prev = -1
-    s_last, d_last = len(sm0) - 1, len(dm0) - 1
+    s_last, d_last = len(sline) - 1, len(dline) - 1
     si = di = 0
     s_at = d_at = -1  # the cells on which p2 and q2, the positions of the last cut, lie
     for a, b in zip(cuts, cuts[1:]):
         # a cell with at most eps of mass left beyond a counts as exhausted;
         # merged cuts can sit one ulp before a genuine cell boundary
-        while si < s_last and sm1[si] <= a + eps:
+        while si < s_last and sline[si][1] <= a + eps:
             si += 1
-        while di < d_last and dm1[di] <= a + eps:
+        while di < d_last and dline[di][1] <= a + eps:
             di += 1
         # the positions of masses a and b in each cell, clamped and snapped to its
         # ends; on the cell of the last cut, a's position is that cut's
@@ -249,14 +243,14 @@ def _match_mass_lines(
             p1 = p2
         else:
             s_at = si
-            sm, sn, sx, sy, sd = sm0[si], sm1[si], sp0[si], sp1[si], sdens[si]
+            sm, sn, sc, sx, sy, sd = sline[si]
             p1 = sx if a <= sm else sy if a >= sn else sx + (a - sm) / sd
         p2 = sx if b <= sm else sy if b >= sn else sx + (b - sm) / sd
         if di == d_at:
             q1 = q2
         else:
             d_at = di
-            dm, dn, dx, dy, dd = dm0[di], dm1[di], dp0[di], dp1[di], ddens[di]
+            dm, dn, dc, dx, dy, dd = dline[di]
             q1 = dx if a <= dm else dy if a >= dn else dx + (a - dm) / dd
         q2 = dx if b <= dm else dy if b >= dn else dx + (b - dm) / dd
         if not p1 < p2:
@@ -267,7 +261,6 @@ def _match_mass_lines(
             raise LogSpaceError(
                 f"transport slope or offset overflows a float (slope {slope!r}, offset {offset!r})"
             )
-        sc, dc = scomp[si], dcomp[di]
         if sc != s_prev or dc != d_prev:
             s_prev, d_prev = sc, dc
             run: list[AffinePiece] = []
@@ -314,10 +307,7 @@ def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportM
         raise LogSpaceError("symbolic component")
     if not decide_isometric_external(build_passport(src), build_passport(dst)).verdict:
         raise LogSpaceError("no measure-preserving map")
-    src_line, sm = _mass_line(src)
-    dst_line, dm = _mass_line(dst)
-    entries = _match_mass_lines(src_line, sm, dst_line, dm)
-    return TransportMap(tuple(entries), len(src.components), len(dst.components))
+    return TransportMap(tuple(_match_mass_lines(src, dst)), len(src.components), len(dst.components))
 
 
 def _check_cover(p, covered: float, lost: float) -> None:

@@ -215,6 +215,26 @@ def test_density_validation():
         density([(0.0, math.inf, 1.0), (math.inf, math.inf, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: IntervalPiece(2, 1, 1), "piece must satisfy start < stop, got [2.0, 1.0)"),
+        (lambda: density([(0, math.inf, 1), (1, 2, 1)]), "density: only the last piece may be unbounded"),
+        (lambda: MeasureSpace(()), "a measure space needs at least one component"),
+        (
+            lambda: rn_derivative(interval_space(0, 1), MeasureSpace(interval_space(0, 1).components * 2)),
+            "different underlying algebra",
+        ),
+        (lambda: integrate_piecewise(interval_space(0, 1), ()), "integrand must supply one piece list per component"),
+    ],
+    ids=["reversed-piece", "unbounded-piece-not-last", "no-components", "component-counts-differ", "integrand-count"],
+)
+def test_input_checks_name_their_cause(make, message):
+    with pytest.raises(LogSpaceError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_measurable_set_validation():
     with pytest.raises(LogSpaceError):
         MeasurableSet(((0, 0.0, 0.5), (0, 0.25, 0.75)))

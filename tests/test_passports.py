@@ -25,6 +25,8 @@ from logspaces import (
     ratio_bounded,
     render_passport,
 )
+from logspaces.passports import Decision
+from logspaces.render import format_real
 from logspaces.workspace import Workspace
 
 
@@ -136,6 +138,19 @@ class TestMeasureSeq:
             ClosedForm("CUBIC", (1.0,))
         with pytest.raises(LogSpaceError):
             FiniteList((1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("CONST", (1.0, 2.0), "CONST takes 1 parameter(s)"),
+            ("LINEAR", (1.0,), "LINEAR takes 2 parameter(s)"),
+            ("GEOM", (), "GEOM takes 2 parameter(s)"),
+        ],
+    )
+    def test_a_wrong_parameter_count_is_named(self, kind, params, message):
+        with pytest.raises(LogSpaceError) as err:
+            ClosedForm(kind, params)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "kind, params, message",
@@ -327,6 +342,11 @@ class TestDecisions:
         )
         assert not rev.verdict and rev.witness == "nu_i/mu_i unbounded"
 
+    def test_a_negative_decision_needs_a_witness(self):
+        with pytest.raises(LogSpaceError, match="^a negative decision needs a witness$"):
+            Decision(False, "r", "")
+        assert Decision(True, "r", "").verdict
+
     def test_isometric_external_rules(self):
         d = decide_isometric_external(P(u=(0,), m=(2.0,)), P(u=(0,), m=(2.0,)))
         assert d.verdict and d.rule == "single-finite-component"
@@ -489,6 +509,11 @@ class TestRendering:
         assert render_passport(P(u=(0,), m=(1.0,))) == "s:\nu: 0\nm: 1"
         assert render_passport(P(s=(0,), u=(1,), m=(3.0,))) == "s: 0\nu: 1\nm: 3"
         assert render_passport(P(u=(0, 2), m=(1.0, 0.5))) == "s:\nu: 0 2\nm: 1 0.5"
+
+    def test_format_real_refuses_nan(self):
+        with pytest.raises(ValueError, match="^cannot render NaN$"):
+            format_real(math.nan)
+        assert [format_real(x) for x in (math.inf, 2.0, 0.5, 1e16)] == ["inf", "2", "0.5", "1e+16"]
 
     def test_closed_form(self):
         p = P(m=ClosedForm("LINEAR", (1.0, 0.0)))

@@ -140,6 +140,10 @@ class TestAlgebraOps:
         f = step(UNIT, (0, 0.1, 0.9, 2 + 1j))
         assert add(f, scale(f, -1)).is_zero
 
+    def test_negation_scales_by_minus_one(self):
+        f = step(UNIT, (0, 0.1, 0.9, 2 + 1j))
+        assert -f == scale(f, -1) == step(UNIT, (0, 0.1, 0.9, -2 - 1j))
+
     def test_product_norm_example(self):
         f = step(UNIT, (0, 0.0, 1.0, E1))
         prod = multiply(f, f)
@@ -219,6 +223,12 @@ class TestLogNorm:
         h = uniform_density(interval_space(0, 2), 1.0)
         with pytest.raises(LogSpaceError, match="kind/space mismatch"):
             log_norm(step(UNIT, (0, 0.0, 0.5, 1)), UNIT, Internal(h))
+
+    @pytest.mark.parametrize("kind", ["external", None, External])
+    def test_a_kind_that_is_not_a_norm_kind_is_named(self, kind):
+        with pytest.raises(LogSpaceError) as err:
+            log_norm(step(UNIT, (0, 0.0, 0.5, 1)), UNIT, kind)
+        assert str(err.value) == f"unknown norm kind {kind!r}"
 
 
 class TestCompiledCellTables:
@@ -426,6 +436,11 @@ class TestRiemannOracle:
         hl = halfline()
         with pytest.raises(LogSpaceError, match="oracle requires bounded support"):
             riemann_oracle(step(hl, (0, 0.0, math.inf, 1)), hl, EXTERNAL, 10)
+
+    @pytest.mark.parametrize("subdivisions", [0, -1])
+    def test_subdivisions_must_be_positive(self, subdivisions):
+        with pytest.raises(LogSpaceError, match="^subdivisions must be >= 1$"):
+            riemann_oracle(step(UNIT, (0, 0.0, 0.5, 1)), UNIT, EXTERNAL, subdivisions)
 
     def test_agrees_with_closed_form(self):
         rng = random.Random(106)

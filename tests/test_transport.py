@@ -42,7 +42,7 @@ from logspaces.sampling import (
     random_measurable_set,
     random_step_function,
 )
-from logspaces.transport import AffinePiece, ComponentTransport, TransportMap
+from logspaces.transport import AffinePiece, ComponentTransport, IsometryReport, TransportMap
 
 
 def comp(spec, weight=0):
@@ -339,6 +339,12 @@ class TestLift:
         with pytest.raises(LogSpaceError, match=message):
             transport_set(t, mset)
 
+    def test_a_function_of_another_component_count_is_refused(self):
+        s = interval_space(0, 1)
+        two = MeasureSpace(s.components * 2)
+        with pytest.raises(LogSpaceError, match="^function/space mismatch$"):
+            lift(transport_between_spaces(s, s), StepFunction.zero(two))
+
     def test_unmapped_support(self):
         s1, s2 = interval_space(0, 1), interval_space(0, 1)
         t = transport_between_spaces(s1, s2)
@@ -460,6 +466,37 @@ class TestHandBuiltMaps:
         f = StepFunction(((StepPiece(1, 2, 5),), (StepPiece(0, 1, 3),)))
         assert lift(tmap, f) == StepFunction(((StepPiece(0, 1, 5),), (StepPiece(0, 1, 3),)))
 
+    # [0, 1) onto [1, 2): with B after it in one entry, its source ascends and its image descends
+    C = AffinePiece(0, 1, 1, 1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(0, 0, (A,)), (1, 0, (A,))],  # two sources whose images overlap in target 0
+            [(0, 0, (C,)), (1, 0, (A,))],  # images in target 0 descend across entries
+            [(0, 0, (C, B))],  # images in target 0 descend inside one entry
+        ],
+        ids=["overlap-across-sources", "descend-across-entries", "descend-in-entry"],
+    )
+    def test_images_in_one_target_must_ascend_without_overlap(self, entries):
+        # the overlapping map was accepted; lift then raised "step function pieces
+        # must be disjoint" and transport_set "subintervals within a component must be disjoint"
+        with pytest.raises(LogSpaceError, match="^transport images in component 0 overlap or are out of order$"):
+            TransportMap(tuple(ComponentTransport(*e) for e in entries), 2, 1)
+
+    def test_touching_and_collapsed_images_in_one_target_are_legal(self):
+        collapsed = AffinePiece(0, 1, 1, 1, 2, 2)
+        entries = [(0, 0, (self.A,)), (1, 0, (self.C,)), (2, 0, (collapsed,))]
+        tmap = TransportMap(tuple(ComponentTransport(*e) for e in entries), 3, 1)
+        f = StepFunction(((StepPiece(0, 1, 5),), (StepPiece(0, 1, 3),), ()))
+        assert lift(tmap, f) == StepFunction(((StepPiece(0, 1, 5), StepPiece(1, 2, 3)),))
+
+    def test_images_in_different_targets_are_ordered_apart(self):
+        # target 1's image [1, 2) comes first; target 0's image [0, 1) lies below it
+        tmap = TransportMap((ComponentTransport(0, 1, (self.C,)), ComponentTransport(1, 0, (self.A,))), 2, 2)
+        f = StepFunction(((StepPiece(0, 1, 5),), (StepPiece(0, 1, 3),)))
+        assert lift(tmap, f) == StepFunction(((StepPiece(0, 1, 3),), (StepPiece(1, 2, 5),)))
+
     def test_a_reversed_image_is_rejected_by_name(self):
         # the lift reported it as a "collapsed image"; equal ends, which a built
         # map can hold, stay legal and are one
@@ -523,6 +560,11 @@ class TestWeighting:
             weighting_isometry(f, h)
         with pytest.raises(LogSpaceError, match="out of carrier"):  # a bounded piece past h
             weighting_isometry(StepFunction.from_pieces(hl, [(0, 0.5, 1.5, 2)]), h)
+
+    def test_a_density_of_another_component_count_is_refused(self):
+        f = StepFunction.from_pieces(interval_space(0, 1), [(0, 0.0, 0.5, 2)])
+        with pytest.raises(LogSpaceError, match="^kind/space mismatch$"):
+            weighting_isometry(f, (density([(0.0, 1.0, 1.0)]),) * 2)
 
     def test_step_density_worked_example(self):
         s = interval_space(0, 1)
@@ -590,6 +632,10 @@ class TestVerifyIsometry:
         t = transport_between_spaces(s, s)
         with pytest.raises(LogSpaceError, match="^sample count must be >= 1$"):
             verify_isometry(t, s, EXTERNAL, s, EXTERNAL, samples, 1)
+
+    def test_a_negative_deviation_is_refused(self):
+        with pytest.raises(LogSpaceError, match="^deviation must be >= 0$"):
+            IsometryReport(1, -1.0, "")
 
 
 class TestMeasurePreservation:

@@ -248,6 +248,12 @@ TAMPERED = {
         lambda: _past_constructor(TransportMap, (ComponentTransport(0, 0, _OVERLAP),), 1, 1),
         "transport pieces of component 0 overlap or are out of order",
     ),
+    "TransportMap-images": (
+        lambda: _past_constructor(
+            TransportMap, tuple(ComponentTransport(k, 0, _OVERLAP[:1]) for k in range(2)), 2, 1
+        ),
+        "transport images in component 0 overlap or are out of order",
+    ),
     "MeasurableSet": (
         lambda: _past_constructor(MeasurableSet, ((0, 0.0, 2.0), (0, 1.0, 3.0))),
         "subintervals within a component must be disjoint",

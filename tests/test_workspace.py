@@ -98,6 +98,23 @@ def test_unbounded_carrier_round_trip():
             ' "density": [{"from": 0, "to": 1, "value": 1, "value": 7}]}]}',
             "value: duplicate key",
         ),
+        # each reader's message for a value of the wrong shape, and each density rule
+        (
+            '{"passports": {"P": {"s": [], "m": {"kind": 1, "params": [1]}}}}',
+            "passports.P.m.kind: expected a closed-form kind string",
+        ),
+        ('{"passports": {"P": 3}}', "passports.P: expected an object, got int"),
+        ('{"space": {}}', "space: expected an array, got dict"),
+        (
+            '{"space": [{"weight": 0, "carrier": [0, 1, 2], "density": [{"from": 0, "to": 1, "value": 1}]}]}',
+            "space[0].carrier: expected [from, to]",
+        ),
+        ('{"densities": {"h": []}}', 'densities.h: workspace has no "space" to define densities on'),
+        (
+            '{"space": [{"weight": 0, "carrier": [0, 1], "density": [{"from": 0, "to": 1, "value": 1}]}],'
+            ' "densities": {"h": [{"component": 0, "from": 0, "to": 0.5, "value": 4}]}}',
+            "densities.h: component 0: pieces must cover the component carrier exactly",
+        ),
     ],
 )
 def test_field_addressed_rejection(text, needle):
