@@ -11,7 +11,6 @@ import math
 import random
 
 from logspaces import (
-    EXTERNAL,
     Component,
     Internal,
     MeasureSpace,
@@ -66,13 +65,13 @@ print(
 )
 
 # Numerical verification over seeded random step functions.
-report = verify_isometry(tmap, src, EXTERNAL, dst, EXTERNAL, samples=1000, seed=42)
+report = verify_isometry(tmap, src, dst, samples=1000, seed=42)
 print("\ntransport verification:", report)
 
 rng = random.Random(7)
 space, partner = random_equal_passport_pair(rng)
 t2 = transport_between_spaces(space, partner)
-print("random pair verification:", verify_isometry(t2, space, EXTERNAL, partner, EXTERNAL, 1000, 1))
+print("random pair verification:", verify_isometry(t2, space, partner, 1000, 1))
 
 hd = random_density(rng, space)
-print("weighting verification:  ", verify_isometry(hd, space, EXTERNAL, space, Internal(hd), 1000, 2))
+print("weighting verification:  ", verify_isometry(hd, space, space, 1000, 2))

@@ -107,11 +107,10 @@ def _cmd_verify(ws: Workspace, args) -> int:
     space = _require_space(ws)
     if args.target == "transport":
         space2 = _require_space(ws, "space2")
-        tmap = transport_between_spaces(space, space2)
-        report = verify_isometry(tmap, space, EXTERNAL, space2, EXTERNAL, args.samples, args.seed)
+        transform = transport_between_spaces(space, space2)
     else:
-        h = _named(ws.densities, "h")
-        report = verify_isometry(h, space, EXTERNAL, space, Internal(h), args.samples, args.seed)
+        transform, space2 = _named(ws.densities, "h"), space
+    report = verify_isometry(transform, space, space2, args.samples, args.seed)
     print(f"samples = {report.samples}")
     print(f"max_abs_deviation = {format_real(report.max_abs_deviation)}")
     return 0 if report.max_abs_deviation <= _DEVIATION_LIMIT else 1
@@ -164,7 +163,3 @@ def main(argv=None) -> int:
     except (LogSpaceError, OSError) as e:
         print(str(e), file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

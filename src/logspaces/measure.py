@@ -95,7 +95,14 @@ class PiecewiseDensity(Value):
 
 def density(spec: Iterable[tuple[float, float, float]]) -> PiecewiseDensity:
     """Build a PiecewiseDensity from (start, stop, value) triples."""
-    return PiecewiseDensity(tuple(IntervalPiece(a, b, v) for a, b, v in spec))
+    pieces = []
+    for entry in sequence(spec, "density entries"):
+        try:
+            a, b, v = entry
+        except (TypeError, ValueError):
+            raise LogSpaceError(f"density entry must be a (start, stop, value) triple, got {entry!r}") from None
+        pieces.append(IntervalPiece(a, b, v))
+    return PiecewiseDensity(tuple(pieces))
 
 
 def constant_density(start: float, stop: float, value: float = 1.0) -> PiecewiseDensity:
@@ -115,8 +122,10 @@ class Component(Value):
     def __post_init__(self):
         if not isinstance(self.density, PiecewiseDensity):
             raise LogSpaceError(f"component density must be a PiecewiseDensity, got {self.density!r}")
-        if integer(self.weight, "weight", "a non-negative integer") < 0:
-            raise LogSpaceError(f"weight must be a non-negative integer, got {self.weight!r}")
+        weight = integer(self.weight, "weight", "a non-negative integer")
+        if weight < 0:
+            raise LogSpaceError(f"weight must be a non-negative integer, got {weight!r}")
+        object.__setattr__(self, "weight", weight)
 
     @property
     def carrier(self) -> tuple[float, float]:
@@ -144,9 +153,6 @@ class MeasureSpace(Value):
         object.__setattr__(self, "components", records(self.components, Component, "space components"))
         if not self.components:
             raise LogSpaceError("a measure space needs at least one component")
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 def _weight_groups(space: MeasureSpace) -> dict[WeightLabel, list[tuple[int, Component]]]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
+from ._value import integer
 from .errors import LogSpaceError
 from .measure import MeasureSpace, PiecewiseDensity, _density_index
 from .stepfunctions import NormKind, StepFunction, StepPiece, _kind_weights, _norm_terms
@@ -61,6 +62,7 @@ def riemann_oracle(
             'riemann_oracle needs numpy: install the "oracle" extra (pip install "logspaces[oracle]")'
         ) from None
 
+    subdivisions = integer(subdivisions, "subdivisions")
     if subdivisions < 1:
         raise LogSpaceError("subdivisions must be >= 1")
     _norm_terms(f, _density_index(space))  # the fit check only: the terms are not used

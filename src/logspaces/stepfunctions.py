@@ -155,7 +155,13 @@ class StepFunction(Value):
     ) -> "StepFunction":
         """Build and canonicalize from (component, start, stop, coef) entries."""
         per: list[list[tuple[float, float, complex]]] = [[] for _ in space.components]
-        for comp, a, b, c in specs:
+        for spec in sequence(specs, "step function entries"):
+            try:
+                comp, a, b, c = spec
+            except (TypeError, ValueError):
+                raise LogSpaceError(
+                    f"step function entry must be a (component, start, stop, coefficient) quadruple, got {spec!r}"
+                ) from None
             comp = integer(comp, "component index")
             if not 0 <= comp < len(per):
                 raise LogSpaceError(f"component index {comp} out of range")

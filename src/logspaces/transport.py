@@ -26,9 +26,11 @@ every piece to be mapped up to a 1e-9 relative sliver of its length; past
 that they raise "collapsed image" where the loss is images shorter than the
 target's float spacing, and "unmapped support" otherwise.
 ``weighting_isometry`` divides by a density to move between the plain and
-the density-weighted norms.  ``verify_isometry`` is the numerical end of
-the story: seeded random step functions, norms on both sides, worst
-deviation reported.
+the density-weighted norms.  ``verify_isometry(transform, src_space,
+dst_space, samples, seed)`` is the numerical end of the story: seeded
+random step functions, norms on both sides, worst deviation reported.
+Each transform names its two norms: a map carries the External norm onto
+the External norm, and a density h the External norm onto Internal(h).
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from .measure import (
 from .passports import _MEASURE_RTOL, build_passport, decide_isometric_external
 from .render import format_real
 from .stepfunctions import (
-    NormKind,
+    EXTERNAL,
+    Internal,
     StepFunction,
     _as_space_density,
     _bounds,
@@ -165,8 +168,11 @@ class IsometryReport(Value):
     worst_case: str
 
     def __post_init__(self):
-        if self.max_abs_deviation < 0.0:
+        object.__setattr__(self, "samples", integer(self.samples, "sample count"))
+        dev = real(self.max_abs_deviation, "deviation")
+        if not dev >= 0.0:  # NaN included
             raise LogSpaceError("deviation must be >= 0")
+        object.__setattr__(self, "max_abs_deviation", dev)
 
 
 # A space's concatenated mass line is a list of cells, one per density piece,
@@ -211,13 +217,11 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTra
     sline, src_end = _mass_line(src)
     dline, dst_end = _mass_line(dst)
     pts = sorted([cell[0] for cell in sline + dline])
-    if src_end == inf:
-        end = inf
-        eps = _MEASURE_RTOL * pts[-1]
-    else:
-        end = min(src_end, dst_end)
-        eps = _MEASURE_RTOL * end
-        pts = [m for m in pts if m < end - eps]
+    # an unbounded source line pairs with an unbounded target line, and
+    # every cut of a decided pair is finite, so an unbounded end keeps them all
+    end = min(src_end, dst_end)
+    eps = _MEASURE_RTOL * (pts[-1] if end == inf else end)
+    pts = [m for m in pts if m < end - eps]
     cuts = [pts[0]]
     for m in pts[1:]:
         if m - cuts[-1] > eps:
@@ -440,34 +444,36 @@ def _deviation(a: ExtendedReal, b: ExtendedReal) -> float:
 def verify_isometry(
     transform: TransportMap | SpaceDensity | PiecewiseDensity,
     src_space: MeasureSpace,
-    src_kind: NormKind,
     dst_space: MeasureSpace,
-    dst_kind: NormKind,
     samples: int,
     seed: int,
 ) -> IsometryReport:
     """Worst norm deviation across seeded random step functions.
 
-    `transform` is either a TransportMap (lift) or a density (weighting).
-    Sample k draws from its own stream derived from (seed, k), so the report
-    does not depend on evaluation order.
+    The transform names the two norms it preserves.  A TransportMap is
+    checked through ``lift``, from the External norm on `src_space` to the
+    External norm on `dst_space`; a density h (one PiecewiseDensity, or one
+    per component) through ``weighting_isometry``, from the External norm
+    to Internal(h).  Sample k draws from its own stream derived from
+    (seed, k), so the report does not depend on evaluation order.
     """
     from .sampling import random_step_function
 
     samples, seed = integer(samples, "sample count"), integer(seed, "seed")
     if samples < 1:
         raise LogSpaceError("sample count must be >= 1")
+    if isinstance(transform, TransportMap):
+        carry, dst_kind = (lambda f: lift(transform, f)), EXTERNAL
+    else:
+        h = _as_space_density(transform, "weighting density")
+        carry, dst_kind = (lambda f: weighting_isometry(f, h)), Internal(h)
     worst = -1.0
     worst_case = ""
     for k in range(samples):
         rng = random.Random(seed * 1_000_003 + k)
         f = random_step_function(rng, src_space)
-        if isinstance(transform, TransportMap):
-            g = lift(transform, f)
-        else:
-            g = weighting_isometry(f, transform)
-        n_src = log_norm(f, src_space, src_kind)
-        n_dst = log_norm(g, dst_space, dst_kind)
+        n_src = log_norm(f, src_space)
+        n_dst = log_norm(carry(f), dst_space, dst_kind)
         dev = _deviation(n_src, n_dst)
         if dev > worst:
             worst = dev

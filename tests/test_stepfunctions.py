@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -440,6 +441,13 @@ class TestRiemannOracle:
     @pytest.mark.parametrize("subdivisions", [0, -1])
     def test_subdivisions_must_be_positive(self, subdivisions):
         with pytest.raises(LogSpaceError, match="^subdivisions must be >= 1$"):
+            riemann_oracle(step(UNIT, (0, 0.0, 0.5, 1)), UNIT, EXTERNAL, subdivisions)
+
+    @pytest.mark.parametrize("subdivisions", [2.5, "3", True, None])
+    def test_subdivisions_are_integers_not_bools(self, subdivisions):
+        # 2.5 drew 2.5 cells per unit, and "3" raised a raw TypeError
+        message = f"subdivisions must be an integer, got {subdivisions!r}"
+        with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
             riemann_oracle(step(UNIT, (0, 0.0, 0.5, 1)), UNIT, EXTERNAL, subdivisions)
 
     def test_agrees_with_closed_form(self):

@@ -7,7 +7,6 @@ import re
 import pytest
 
 from logspaces import (
-    EXTERNAL,
     Component,
     Internal,
     LogSpaceError,
@@ -596,7 +595,7 @@ class TestVerifyIsometry:
     def test_identity_reports_zero(self):
         s = interval_space(0, 1)
         t = transport_between_spaces(s, s)
-        rep = verify_isometry(t, s, EXTERNAL, s, EXTERNAL, 50, 1)
+        rep = verify_isometry(t, s, s, 50, 1)
         assert rep.samples == 50
         assert rep.max_abs_deviation == 0.0
         assert rep.worst_case
@@ -604,8 +603,8 @@ class TestVerifyIsometry:
     def test_deterministic_in_seed(self):
         s1, s2 = interval_space(0, 1, 2.0), interval_space(0, 4, 0.5)
         t = transport_between_spaces(s1, s2)
-        a = verify_isometry(t, s1, EXTERNAL, s2, EXTERNAL, 25, 9)
-        b = verify_isometry(t, s1, EXTERNAL, s2, EXTERNAL, 25, 9)
+        a = verify_isometry(t, s1, s2, 25, 9)
+        b = verify_isometry(t, s1, s2, 25, 9)
         assert a == b
 
     def test_weighting_setup(self):
@@ -614,7 +613,7 @@ class TestVerifyIsometry:
 
         s = random_space(rng)
         h = random_density(rng, s)
-        rep = verify_isometry(h, s, EXTERNAL, s, Internal(h), 200, 5)
+        rep = verify_isometry(h, s, s, 200, 5)
         assert rep.max_abs_deviation <= 1e-9
 
     @pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
@@ -624,18 +623,27 @@ class TestVerifyIsometry:
         t = transport_between_spaces(s, s)
         samples, seed = (bad, 1) if name == "sample count" else (3, bad)
         with pytest.raises(LogSpaceError, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
-            verify_isometry(t, s, EXTERNAL, s, EXTERNAL, samples, seed)
+            verify_isometry(t, s, s, samples, seed)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sample_count_is_at_least_one(self, samples):
         s = interval_space(0, 1)
         t = transport_between_spaces(s, s)
         with pytest.raises(LogSpaceError, match="^sample count must be >= 1$"):
-            verify_isometry(t, s, EXTERNAL, s, EXTERNAL, samples, 1)
+            verify_isometry(t, s, s, samples, 1)
 
     def test_a_negative_deviation_is_refused(self):
         with pytest.raises(LogSpaceError, match="^deviation must be >= 0$"):
             IsometryReport(1, -1.0, "")
+
+    def test_a_nan_deviation_is_refused(self):
+        with pytest.raises(LogSpaceError, match="^deviation must be >= 0$"):
+            IsometryReport(1, math.nan, "")
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, "3", None])
+    def test_a_report_sample_count_is_an_integer_not_a_bool(self, bad):
+        with pytest.raises(LogSpaceError, match=f"^sample count must be an integer, got {re.escape(repr(bad))}$"):
+            IsometryReport(bad, 0.5, "x")
 
 
 class TestMeasurePreservation:
@@ -684,7 +692,7 @@ class TestEndToEndWithPassports:
             src, dst = random_equal_passport_pair(rng)
             assert decide_isometric_external(build_passport(src), build_passport(dst)).verdict
             t = transport_between_spaces(src, dst)
-            rep = verify_isometry(t, src, EXTERNAL, dst, EXTERNAL, 40, 17)
+            rep = verify_isometry(t, src, dst, 40, 17)
             assert rep.max_abs_deviation <= 1e-9
 
     def test_unequal_finite_measures_fail(self):

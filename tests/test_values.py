@@ -38,6 +38,7 @@ from logspaces import (
     StepPiece,
     TransportMap,
     constant_density,
+    density,
     finite,
     interval_space,
     log_norm,
@@ -332,6 +333,7 @@ NUMBER_FIELDS = [
     (lambda v: MeasurableSet(((0, 0, v),)), "subinterval stop"),
     (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, v, 1, 1)]), "step piece start"),
     (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, 0, v, 1)]), "step piece stop"),
+    (lambda v: IsometryReport(1, v, ""), "deviation"),
     (ExtendedReal, "extended real"),
     (finite, "extended real"),
 ]
@@ -396,6 +398,21 @@ def test_measurable_set_parts_are_triples(part):
         MeasurableSet(((0, 0.0, 0.5), part))
 
 
+@pytest.mark.parametrize("entry", [5, None, (0, 1), (0, 0, 1), (0, 0, 1, 1, 1), ()])
+def test_from_pieces_entries_are_quadruples(entry):
+    # an entry that does not unpack raised the unpacking's own TypeError or ValueError
+    message = f"step function entry must be a (component, start, stop, coefficient) quadruple, got {entry!r}"
+    with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
+        StepFunction.from_pieces(interval_space(0, 2), [(0, 0, 1, 1), entry])
+
+
+@pytest.mark.parametrize("entry", [5, None, (0, 1), (0, 1, 1, 1), ()])
+def test_density_entries_are_triples(entry):
+    message = f"density entry must be a (start, stop, value) triple, got {entry!r}"
+    with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
+        density([(0, 1, 1), entry])
+
+
 @pytest.mark.parametrize("index", [0.0, 1.0, True, False, "0", None])
 def test_from_pieces_component_indexes_are_integers_not_bools(index):
     # the message of MeasurableSet: "0" must not read as the in-range index 0
@@ -454,6 +471,8 @@ NOT_SEQUENCES = [
     (lambda: Passport((), 5), "second row must be a sequence, got 5"),
     (lambda: Passport((), (0,), (1.0,)), "third row must be a FiniteList or a ClosedForm, got (1.0,)"),
     (lambda: StepFunction(5), "step function components must be a sequence, got 5"),
+    (lambda: StepFunction.from_pieces(interval_space(0, 2), 5), "step function entries must be a sequence, got 5"),
+    (lambda: density(5), "density entries must be a sequence, got 5"),
     (lambda: Internal(5), "Internal h must be a sequence of PiecewiseDensity records, got 5"),
     (lambda: Generalized(5, 5), "Generalized h1 must be a sequence of PiecewiseDensity records, got 5"),
     (
@@ -481,6 +500,15 @@ def test_passport_labels_are_stored_as_ints():
     p = Passport((Label(0),), (Label(1),), FiniteList((2.0,)))
     assert type(p.row_s[0]) is int and type(p.row_u[0]) is int
     assert p == Passport((0,), (1,), FiniteList((2.0,)))
+
+
+def test_component_weights_are_stored_as_ints():
+    class Label(int):
+        pass
+
+    c = Component(constant_density(0, 1), Label(2))
+    assert type(c.weight) is int
+    assert c == Component(constant_density(0, 1), 2)
 
 
 def test_real_fields_take_integers_as_floats():
