@@ -162,3 +162,17 @@ class Value:
     # loaded value is checked like any other input
     def __reduce__(self):
         return self.__class__, self._values(self)
+
+
+def writable_twin(record: type) -> type:
+    """A writable, empty-constructed class with exactly the slots of the slotted `record`.
+
+    A builder that has checked a record's fields itself fills a twin with
+    plain attribute stores, and retypes it with ``obj.__class__ = record``
+    once the record is final, so no twin leaves the builder.  CPython allows
+    that assignment because the two classes lay out the same slots over the
+    same base; it costs about half of ``object.__new__`` plus one slot
+    ``__set__`` call per field, and skips ``__init__`` and its checks.
+    """
+    namespace = {"__slots__": record.__slots__, "__init__": object.__init__}
+    return type(f"_Writable{record.__name__}", (Value,), namespace, frozen=False)

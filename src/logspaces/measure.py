@@ -88,7 +88,7 @@ class PiecewiseDensity(Value):
         if math.isinf(self.stop):
             return INF
         return ext_fsum(
-            [p.length * p.value for p in self.pieces],
+            [(p.stop - p.start) * p.value for p in self.pieces],
             f"mass of the bounded carrier [{self.start}, {self.stop})",
         )
 

@@ -22,7 +22,7 @@ from .measure import (
     PiecewiseDensity,
     SpaceDensity,
 )
-from .stepfunctions import EXTERNAL, Generalized, Internal, NormKind, StepFunction
+from .stepfunctions import EXTERNAL, Generalized, Internal, NormKind, StepFunction, _from_cells, _wrap
 
 # a drawn carrier starts uniform in _START_RANGE and, if bounded, has a
 # length uniform in _LENGTH_RANGE
@@ -105,8 +105,14 @@ def _windows(space: MeasureSpace) -> Iterator[tuple[int, float, float]]:
 
 
 def random_step_function(rng: random.Random, space: MeasureSpace, max_pieces: int = 8) -> StepFunction:
-    """Bounded-support step function; coefficients have modulus in [0, _MAX_MODULUS]."""
-    specs = []
+    """Bounded-support step function; coefficients have modulus in [0, _MAX_MODULUS].
+
+    Each component's cells go straight to the builder: they are drawn
+    sorted, disjoint, of positive length and inside the carrier window,
+    with complex coefficients, so ``from_pieces``' reading and sort would
+    change nothing.
+    """
+    cells: list[list[tuple[float, float, complex]]] = [[] for _ in space.components]
     for i, lo, hi in _windows(space):
         if len(space.components) > 1 and rng.random() < 0.15:
             continue
@@ -117,8 +123,8 @@ def random_step_function(rng: random.Random, space: MeasureSpace, max_pieces: in
                 continue
             mod = rng.uniform(0.0, _MAX_MODULUS)
             phase = rng.uniform(0.0, 2.0 * math.pi)
-            specs.append((i, a, b, complex(mod * math.cos(phase), mod * math.sin(phase))))
-    return StepFunction.from_pieces(space, specs)
+            cells[i].append((a, b, complex(mod * math.cos(phase), mod * math.sin(phase))))
+    return _wrap(tuple([_from_cells(cs) for cs in cells]))
 
 
 def random_measurable_set(
@@ -139,7 +145,7 @@ def _component_with_mass(rng: random.Random, mass: float) -> Component:
     start = rng.uniform(*_START_RANGE)
     stop = start + rng.uniform(*_LENGTH_RANGE)
     pieces = _drawn_component(rng, start, stop).density.pieces
-    actual = math.fsum(p.length * p.value for p in pieces)
+    actual = math.fsum((p.stop - p.start) * p.value for p in pieces)
     s = mass / actual
     return Component(PiecewiseDensity(tuple(IntervalPiece(p.start, p.stop, p.value * s) for p in pieces)))
 

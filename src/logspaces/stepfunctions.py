@@ -31,7 +31,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable
 
-from ._value import Value, coefficient, integer, real, records, sequence
+from ._value import Value, coefficient, integer, real, records, sequence, writable_twin
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
@@ -67,12 +67,11 @@ class StepPiece(Value):
             raise _bad_piece(self.start, self.stop, self.coef)
 
 
-# the builder writes each field through its slot, past __init__, so that a
-# piece it has checked is neither checked nor built a second time
+# the builder fills a writable twin of each piece it has checked, past
+# __init__, and retypes it to StepPiece once no later cell can extend it, so
+# that a piece is neither checked nor built a second time
+_StepTwin = writable_twin(StepPiece)
 _new = object.__new__
-_set_start = StepPiece.start.__set__
-_set_stop = StepPiece.stop.__set__
-_set_coef = StepPiece.coef.__set__
 
 
 def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiece, ...]:
@@ -87,8 +86,8 @@ def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiec
     """
     inf, isfinite = math.inf, cmath.isfinite
     out: list[StepPiece] = []
-    last = None
-    end = -inf  # stop of the last kept piece
+    last = None  # the last kept piece, still a twin
+    end, coef = -inf, None  # its stop and coefficient
     for a, b, c in cells:
         if not c:
             continue
@@ -96,15 +95,18 @@ def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiec
             raise _bad_piece(a, b, c)
         if a < end:
             raise LogSpaceError("step function pieces must be disjoint")
-        if a == end and c == last.coef:
-            _set_stop(last, b)
+        if a == end and c == coef:
+            last.stop = b
         else:
-            last = _new(StepPiece)
-            _set_start(last, a)
-            _set_stop(last, b)
-            _set_coef(last, c)
+            if last is not None:
+                last.__class__ = StepPiece
+            last = _StepTwin()
+            last.start, last.stop, last.coef = a, b, c
             out.append(last)
+            coef = c
         end = b
+    if last is not None:
+        last.__class__ = StepPiece
     return tuple(out)
 
 

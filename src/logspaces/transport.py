@@ -39,7 +39,7 @@ import math
 import random
 from typing import Iterator, Sequence
 
-from ._value import Value, integer, real, records
+from ._value import Value, integer, real, records, writable_twin
 from .errors import LogSpaceError
 from .extreal import ExtendedReal
 from .measure import (
@@ -103,15 +103,10 @@ class AffinePiece(Value):
         return self.offset + self.slope * x
 
 
-# the mass-line walk writes each piece through its slots, past __init__, so
-# that a piece it has checked is neither checked nor built a second time
-_new = object.__new__
-_set_start = AffinePiece.start.__set__
-_set_stop = AffinePiece.stop.__set__
-_set_slope = AffinePiece.slope.__set__
-_set_offset = AffinePiece.offset.__set__
-_set_image_start = AffinePiece.image_start.__set__
-_set_image_stop = AffinePiece.image_stop.__set__
+# the mass-line walk fills a writable twin of each piece it has checked, past
+# __init__, and retypes it to AffinePiece once no later segment can extend
+# it, so that a piece is neither checked nor built a second time
+_AffineTwin = writable_twin(AffinePiece)
 
 
 class ComponentTransport(Value):
@@ -207,11 +202,13 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTra
     The mass cuts of both lines, closer than eps merged, split the lines into
     segments; each segment maps the source cell it lies in onto the target
     cell, and touching segments of one pair with one affine law are joined.
+    One pass over the sorted cell starts keeps the cuts below end - eps.
     One walk over the cuts places each cut on both lines inline and writes
-    every affine piece once, through its slots; on the cell of the previous
-    cut, a cut's position is the one already computed there.  A slope or
-    offset outside the float range (a density ratio that overflows or
-    underflows, or an offset that overflows) is rejected as an overflow.
+    every affine piece once, as a twin; a line's cursor moves, and its cell
+    is unpacked, only when the cut leaves at most eps of that cell's mass,
+    and otherwise a cut's position is the one already computed there.  A
+    slope or offset outside the float range (a density ratio that overflows
+    or underflows, or an offset that overflows) is rejected as an overflow.
     """
     inf = math.inf
     sline, src_end = _mass_line(src)
@@ -221,41 +218,51 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTra
     # every cut of a decided pair is finite, so an unbounded end keeps them all
     end = min(src_end, dst_end)
     eps = _MEASURE_RTOL * (pts[-1] if end == inf else end)
-    pts = [m for m in pts if m < end - eps]
-    cuts = [pts[0]]
-    for m in pts[1:]:
-        if m - cuts[-1] > eps:
+    limit = end - eps
+    cut = pts[0]
+    cuts = [cut]
+    for m in pts:
+        if not m < limit:
+            break
+        if m - cut > eps:
+            cut = m
             cuts.append(m)
     cuts.append(end)
 
     entries: list[tuple[int, int, list[AffinePiece]]] = []  # one run per (src, dst) pair
-    last = None  # the run's last piece, which a touching segment of the same law extends
+    last = None  # the run's last piece, still a twin, which a touching segment of the same law extends
+    open_stop = open_slope = open_offset = 0.0  # its stop, slope and offset
     s_prev = d_prev = -1
     s_last, d_last = len(sline) - 1, len(dline) - 1
     si = di = 0
-    s_at = d_at = -1  # the cells on which p2 and q2, the positions of the last cut, lie
+    # the first cut is mass 0.0, the start of each line's first cell, where
+    # its positions p2 and q2 are the cells' first positions
+    sm, sn, sc, sx, sy, sd = sline[0]
+    dm, dn, dc, dx, dy, dd = dline[0]
+    p2, q2 = sx, dx
     for a, b in zip(cuts, cuts[1:]):
         # a cell with at most eps of mass left beyond a counts as exhausted;
-        # merged cuts can sit one ulp before a genuine cell boundary
-        while si < s_last and sline[si][1] <= a + eps:
+        # merged cuts can sit one ulp before a genuine cell boundary.  On the
+        # cell of the last cut, a's position is that cut's.
+        reach = a + eps
+        if sn <= reach and si < s_last:
             si += 1
-        while di < d_last and dline[di][1] <= a + eps:
-            di += 1
-        # the positions of masses a and b in each cell, clamped and snapped to its
-        # ends; on the cell of the last cut, a's position is that cut's
-        if si == s_at:
-            p1 = p2
-        else:
-            s_at = si
+            while si < s_last and sline[si][1] <= reach:
+                si += 1
             sm, sn, sc, sx, sy, sd = sline[si]
             p1 = sx if a <= sm else sy if a >= sn else sx + (a - sm) / sd
-        p2 = sx if b <= sm else sy if b >= sn else sx + (b - sm) / sd
-        if di == d_at:
-            q1 = q2
         else:
-            d_at = di
+            p1 = p2
+        # the positions of mass b in each cell, clamped and snapped to its ends
+        p2 = sx if b <= sm else sy if b >= sn else sx + (b - sm) / sd
+        if dn <= reach and di < d_last:
+            di += 1
+            while di < d_last and dline[di][1] <= reach:
+                di += 1
             dm, dn, dc, dx, dy, dd = dline[di]
             q1 = dx if a <= dm else dy if a >= dn else dx + (a - dm) / dd
+        else:
+            q1 = q2
         q2 = dx if b <= dm else dy if b >= dn else dx + (b - dm) / dd
         if not p1 < p2:
             continue
@@ -269,18 +276,23 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTra
             s_prev, d_prev = sc, dc
             run: list[AffinePiece] = []
             entries.append((sc, dc, run))
-        elif last.stop == p1 and last.slope == slope and last.offset == offset:
-            _set_stop(last, p2)
-            _set_image_stop(last, q2)
+        elif open_stop == p1 and open_slope == slope and open_offset == offset:
+            last.stop = open_stop = p2
+            last.image_stop = q2
             continue
-        last = _new(AffinePiece)
-        _set_start(last, p1)
-        _set_stop(last, p2)
-        _set_slope(last, slope)
-        _set_offset(last, offset)
-        _set_image_start(last, q1)
-        _set_image_stop(last, q2)
+        if last is not None:
+            last.__class__ = AffinePiece
+        last = _AffineTwin()
+        last.start = p1
+        last.stop = p2
+        last.slope = slope
+        last.offset = offset
+        last.image_start = q1
+        last.image_stop = q2
         run.append(last)
+        open_stop, open_slope, open_offset = p2, slope, offset
+    if last is not None:
+        last.__class__ = AffinePiece
     return [ComponentTransport(sc, dc, tuple(run)) for sc, dc, run in entries]
 
 

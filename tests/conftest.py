@@ -2,14 +2,33 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
+
+import pytest
 
 from logspaces import IntervalPiece, MeasureSpace
 
 
 def rel_close(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(abs(a), abs(b), 1e-300)
+
+
+def assert_final_records(pieces, cls) -> None:
+    """Each piece is exactly a `cls` record: frozen, equal and hashing alike to the
+    one its constructor builds from its fields, and rebuilt by pickle and deepcopy."""
+    for p in pieces:
+        assert type(p) is cls
+        with pytest.raises(AttributeError, match="cannot assign to field 'start'"):
+            p.start = 0.0
+        with pytest.raises(AttributeError, match="cannot delete field 'stop'"):
+            del p.stop
+        built = cls(*[getattr(p, name) for name in cls.__slots__])
+        assert p == built and hash(p) == hash(built)
+        for again in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert type(again) is cls and again == p and hash(again) == hash(p)
 
 
 def random_integrand(rng: random.Random, space: MeasureSpace, vmax: float = 5.0):

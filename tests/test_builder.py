@@ -5,7 +5,8 @@ equal neighbours and then building each piece through ``StepPiece``, whose
 ``__post_init__`` converted and checked it.  The reference below is that
 path, copied: ``reference_canonical`` plus ``_reference_piece``.  The
 operations now hand their cells to ``_from_cells``, which checks each cell
-inline and writes its fields directly.  Results must agree bit for bit, and
+inline and fills a writable twin that it retypes to ``StepPiece`` when the
+piece is final.  Results must agree bit for bit, and
 a rejected input must raise the same ``LogSpaceError`` message.
 
 The inputs reach the cases the builder must keep: products that underflow to
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_final_records
 from logspaces import (
     Component,
     IntervalPiece,
@@ -52,6 +54,7 @@ from logspaces.sampling import (
     random_space,
     random_step_function,
 )
+from logspaces.stepfunctions import _StepTwin
 from logspaces.transport import _images
 
 
@@ -395,18 +398,51 @@ def test_the_first_bad_piece_in_start_order_is_reported():
         StepFunction.from_pieces(UNIT, [(0, 0.0, 0.6, 1), (0, 0.5, 0.9, 2), (0, 0.9, 1.0, math.inf)])
 
 
-def test_derived_functions_build_each_piece_once(monkeypatch):
+def _derived_functions():
+    """Functions from every path that builds step pieces: the sampler, the
+    algebra, lift, weighting, from_pieces and the constructor, and a scaling
+    whose neighbours round equal, so that the builder extends a piece."""
     rng = random.Random(5)
     src, dst = random_equal_passport_pair(rng)
     tmap = transport_between_spaces(src, dst)
     f = random_step_function(rng, src, max_pieces=8)
     g = random_step_function(rng, src, max_pieces=8)
     h = random_density(rng, src)
+    specs = [(i, p.start, p.stop, p.coef) for i, ps in enumerate(f.pieces) for p in ps]
+    merged = scale(_touching(1.0, 1.0 + 2.0**-52), 2.0**-1070)
+    assert len(merged.pieces[0]) == 1
+    return [
+        f,
+        g,
+        scale(f, 0.5),
+        add(f, g),
+        multiply(f, g),
+        lift(tmap, f),
+        weighting_isometry(f, h),
+        StepFunction.from_pieces(src, specs),
+        StepFunction(f.pieces),
+        merged,
+    ]
+
+
+def test_derived_functions_build_each_piece_once(monkeypatch):
     checked = []
     post_init = StepPiece.__post_init__
     monkeypatch.setattr(StepPiece, "__post_init__", lambda p: checked.append(p) or post_init(p))
-    results = [scale(f, 0.5), add(f, g), multiply(f, g), lift(tmap, f), weighting_isometry(f, h)]
-    specs = [(i, p.start, p.stop, p.coef) for i, ps in enumerate(f.pieces) for p in ps]
-    results.append(StepFunction.from_pieces(src, specs))
+    results = _derived_functions()
     assert sum(len(ps) for r in results for ps in r.pieces) > 0
-    assert checked == []  # the builder writes pieces directly; nothing goes through __init__
+    assert checked == []  # the builder fills twins; nothing goes through __init__
+
+
+def test_derived_functions_hold_only_final_step_pieces():
+    pieces = [p for r in _derived_functions() for ps in r.pieces for p in ps]
+    assert len(pieces) > 20
+    assert_final_records(pieces, StepPiece)
+
+
+def test_the_step_twin_has_exactly_the_pieces_slots():
+    # a field added to StepPiece must reach the twin, or retyping would mislay it
+    assert _StepTwin.__slots__ == StepPiece.__slots__
+    assert not issubclass(_StepTwin, StepPiece)
+    with pytest.raises(LogSpaceError, match="step function pieces must be StepPiece records"):
+        StepFunction(((_StepTwin(),),))
