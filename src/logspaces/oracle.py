@@ -14,25 +14,25 @@ compiles it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ._value import integer
 from .errors import LogSpaceError
 from .measure import MeasureSpace, PiecewiseDensity, _density_index
-from .stepfunctions import NormKind, StepFunction, StepPiece, _kind_weights, _norm_terms
+from .stepfunctions import NormKind, StepFunction, _Columns, _kind_weights, _norm_terms
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-def _values_on_grid(pieces: Sequence[StepPiece], xs: np.ndarray) -> np.ndarray:
-    """|f| sampled pointwise, for a non-empty list of pieces; zero in the gaps."""
+def _values_on_grid(columns: _Columns, xs: np.ndarray) -> np.ndarray:
+    """|f| sampled pointwise, for a non-empty component's columns; zero in the gaps."""
     import numpy as np
 
-    starts = np.array([p.start for p in pieces])
-    stops = np.array([p.stop for p in pieces])
-    mods = np.array([abs(p.coef) for p in pieces])
-    idx = np.clip(np.searchsorted(starts, xs, side="right") - 1, 0, len(pieces) - 1)
+    starts, stops, coefs = columns
+    starts, stops = np.array(starts), np.array(stops)
+    mods = np.array([abs(c) for c in coefs])
+    idx = np.clip(np.searchsorted(starts, xs, side="right") - 1, 0, len(coefs) - 1)
     inside = (xs >= starts[idx]) & (xs < stops[idx])
     return np.where(inside, mods[idx], 0.0)
 
@@ -68,15 +68,16 @@ def riemann_oracle(
     _norm_terms(f, _density_index(space))  # the fit check only: the terms are not used
     h1, h2 = _kind_weights(space, kind)
     total = 0.0
-    for comp, ps, h1c, h2c in zip(space.components, f.pieces, h1, h2):
-        if not ps:
+    for comp, col, h1c, h2c in zip(space.components, f.columns, h1, h2):
+        starts, stops, _ = col
+        if not starts:
             continue
-        if math.isinf(ps[-1].stop):
+        if math.isinf(stops[-1]):
             raise LogSpaceError("oracle requires bounded support")
-        lo, hi = ps[0].start, ps[-1].stop
+        lo, hi = starts[0], stops[-1]
         cuts = {lo, hi}
-        cuts.update(p.start for p in ps)
-        cuts.update(p.stop for p in ps)
+        cuts.update(starts)
+        cuts.update(stops)
         for pd in (comp.density, h1c, h2c):
             cuts.update(p.start for p in pd.pieces if lo < p.start < hi)
             cuts.update(p.stop for p in pd.pieces if lo < p.stop < hi)
@@ -89,7 +90,7 @@ def riemann_oracle(
             widths_all.append(np.full(n, w))
         xs = np.concatenate(mids_all)
         ws = np.concatenate(widths_all)
-        vals = _values_on_grid(ps, xs)
+        vals = _values_on_grid(col, xs)
         integrand = _density_on_grid(comp.density, xs) * _density_on_grid(h1c, xs)
         scaled = _density_on_grid(h2c, xs) * vals
         total += float(np.dot(ws, integrand * np.log1p(scaled)))

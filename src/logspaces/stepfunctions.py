@@ -1,14 +1,18 @@
 """Step functions over a measure space and the three logarithmic F-norms.
 
 A step function holds finitely many constant complex pieces per realizable
-component and is zero elsewhere.  Canonical form (sorted, disjoint, adjacent
-equal pieces merged, zero pieces dropped) is enforced by one builder,
-``_from_cells``, through which the constructor, every operation and
-``from_pieces`` build their pieces, so equality of step functions is
-equality of their canonical data.  The builder checks every piece as
-``StepPiece`` does (finite start before its stop, finite coefficient) and
-rejects overlaps, so a NaN or reversed bound, or a product that overflows,
-raises a ``LogSpaceError``.
+component and is zero elsewhere.  Each component is stored as three
+columns, the tuples of its pieces' starts, stops and coefficients, and
+every operation reads and writes only these.  ``StepFunction.pieces`` shows
+the same pieces as ``StepPiece`` records; it is built on its first read and
+kept, and the repr, pickles and copies go through it.  Canonical form
+(sorted, disjoint, adjacent equal pieces merged, zero pieces dropped) is
+enforced by one builder, ``_from_cells``, through which the constructor,
+every operation and ``from_pieces`` build their columns, so equality of
+step functions, which compares the columns, is equality of their canonical
+data.  The builder checks every piece as ``StepPiece`` does (finite start
+before its stop, finite coefficient) and rejects overlaps, so a NaN or
+reversed bound, or a product that overflows, raises a ``LogSpaceError``.
 In ``add`` and ``multiply`` a gap counts as ``0j``.
 
 Norm kinds:
@@ -31,7 +35,7 @@ import operator
 from bisect import bisect_right
 from typing import Iterable
 
-from ._value import Value, coefficient, integer, real, records, sequence, writable_twin
+from ._value import Value, coefficient, integer, real, records, sequence
 from .errors import LogSpaceError
 from .extreal import INF, ExtendedReal, ext_fsum
 from .measure import (
@@ -51,7 +55,7 @@ def _bad_piece(start: float, stop: float, coef: complex) -> LogSpaceError:
     return LogSpaceError(f"step coefficient must be finite, got {coef!r}")
 
 
-# slotted: pieces are the most numerous objects, and a slot-less instance
+# slotted: the view holds one record per piece, and a slot-less instance
 # is about 40 bytes larger
 class StepPiece(Value):
     __slots__ = ("start", "stop", "coef")
@@ -67,15 +71,13 @@ class StepPiece(Value):
             raise _bad_piece(self.start, self.stop, self.coef)
 
 
-# the builder fills a writable twin of each piece it has checked, past
-# __init__, and retypes it to StepPiece once no later cell can extend it, so
-# that a piece is neither checked nor built a second time
-_StepTwin = writable_twin(StepPiece)
-_new = object.__new__
+# one component of a step function: the starts, stops and coefficients of its pieces
+_Columns = tuple[tuple[float, ...], tuple[float, ...], tuple[complex, ...]]
+_set, _new = object.__setattr__, object.__new__
 
 
-def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiece, ...]:
-    """Canonical pieces from (start, stop, coef) cells sorted by start.
+def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> _Columns:
+    """Canonical columns from (start, stop, coef) cells sorted by start.
 
     Bounds must be floats and coefficients complex.  Zero coefficients are
     dropped and touching neighbours with equal coefficients merged.  Every
@@ -85,9 +87,10 @@ def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiec
     which rejects overlapping and unsorted cells alike.
     """
     inf, isfinite = math.inf, cmath.isfinite
-    out: list[StepPiece] = []
-    last = None  # the last kept piece, still a twin
-    end, coef = -inf, None  # its stop and coefficient
+    starts: list[float] = []
+    stops: list[float] = []
+    coefs: list[complex] = []
+    end, coef = -inf, None  # the last kept cell's stop and coefficient
     for a, b, c in cells:
         if not c:
             continue
@@ -96,24 +99,20 @@ def _from_cells(cells: Iterable[tuple[float, float, complex]]) -> tuple[StepPiec
         if a < end:
             raise LogSpaceError("step function pieces must be disjoint")
         if a == end and c == coef:
-            last.stop = b
+            stops[-1] = b
         else:
-            if last is not None:
-                last.__class__ = StepPiece
-            last = _StepTwin()
-            last.start, last.stop, last.coef = a, b, c
-            out.append(last)
+            starts.append(a)
+            stops.append(b)
+            coefs.append(c)
             coef = c
         end = b
-    if last is not None:
-        last.__class__ = StepPiece
-    return tuple(out)
+    return tuple(starts), tuple(stops), tuple(coefs)
 
 
 _bounds = operator.itemgetter(0, 1)
 
 
-def _canonical(raw: Iterable[tuple[float, float, object]]) -> tuple[StepPiece, ...]:
+def _canonical(raw: Iterable[tuple[float, float, object]]) -> _Columns:
     """``_from_cells`` of (start, stop, coef) entries with float bounds, in any order.
 
     Every coefficient is read as a number, and then zero-length entries are dropped.
@@ -124,28 +123,58 @@ def _canonical(raw: Iterable[tuple[float, float, object]]) -> tuple[StepPiece, .
     return _from_cells(cells)
 
 
-def _wrap(pieces: tuple[tuple[StepPiece, ...], ...]) -> "StepFunction":
+def _wrap(columns: tuple[_Columns, ...]) -> "StepFunction":
     """A StepFunction around a tuple of builder outputs, which need no re-tupling."""
     f = _new(StepFunction)
-    object.__setattr__(f, "pieces", pieces)
+    _set(f, "columns", columns)
     return f
 
 
-class StepFunction(Value):
-    """Complex simple function; one canonical piece tuple per component.
+def _pieces_view(columns: tuple[_Columns, ...]) -> tuple[tuple[StepPiece, ...], ...]:
+    """The ``StepPiece`` records of each component's columns."""
+    return tuple([tuple(map(StepPiece, *col)) for col in columns])
 
-    The constructor takes a sequence of ``StepPiece`` records per component,
-    sorted and disjoint, and builds each through ``_from_cells``, so a
-    function built by hand equals the one the operations build.
+
+class StepFunction(Value):
+    """Complex simple function; three canonical columns per component.
+
+    ``columns[k]`` holds the starts, stops and coefficients of component k's
+    pieces, each a tuple; every operation reads and writes only these.
+    ``pieces``, the one field, is a view of the same pieces as ``StepPiece``
+    records, one tuple per component, built on its first read and kept;
+    the repr, pickles and copies go through it.  ``==`` and ``hash`` run
+    over the columns.  The constructor takes a sequence of ``StepPiece``
+    records per component, sorted and disjoint, and builds each through
+    ``_from_cells``, so a function built by hand equals the one the
+    operations build.
     """
 
+    __slots__ = ("columns", "_view")
     pieces: tuple[tuple[StepPiece, ...], ...]
 
-    def __post_init__(self):
-        components = sequence(self.pieces, "step function components")
+    # Value.__init__ would store the field, but `pieces` is a property, not a slot
+    def __init__(self, pieces):
+        components = sequence(pieces, "step function components")
         given = [records(ps, StepPiece, "step function pieces") for ps in components]
-        built = [_from_cells([(p.start, p.stop, p.coef) for p in ps]) for ps in given]
-        object.__setattr__(self, "pieces", tuple(built))
+        columns = [_from_cells([(p.start, p.stop, p.coef) for p in ps]) for ps in given]
+        _set(self, "columns", tuple(columns))
+
+    # a property, not a __getattr__ fallback, which would slow every read of `columns`
+    @property
+    def pieces(self) -> tuple[tuple[StepPiece, ...], ...]:
+        try:
+            return self._view
+        except AttributeError:
+            _set(self, "_view", _pieces_view(self.columns))
+            return self._view
+
+    def __eq__(self, other):
+        if other.__class__ is not StepFunction:
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __hash__(self):
+        return hash(self.columns)
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "StepFunction":
@@ -179,7 +208,7 @@ class StepFunction(Value):
 
     @property
     def is_zero(self) -> bool:
-        return all(not ps for ps in self.pieces)
+        return all(not col[0] for col in self.columns)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         if not isinstance(other, StepFunction):
@@ -208,30 +237,29 @@ def _pointwise(f: StepFunction, g: StepFunction, fn) -> StepFunction:
 
     fn(0, 0) must be 0; cells on which neither function has a piece are skipped.
     """
-    if len(f.pieces) != len(g.pieces):
+    if len(f.columns) != len(g.columns):
         raise LogSpaceError("step functions live on different spaces")
-    out = [_from_cells(_pointwise_cells(pa, pb, fn)) for pa, pb in zip(f.pieces, g.pieces)]
-    return _wrap(tuple(out))
+    return _wrap(tuple([_from_cells(_pointwise_cells(a, b, fn)) for a, b in zip(f.columns, g.columns)]))
 
 
-def _pointwise_cells(
-    pa: tuple[StepPiece, ...], pb: tuple[StepPiece, ...], fn
-) -> list[tuple[float, float, complex]]:
-    """(lo, hi, fn(a, b)) on the cells of ``merge_pieces(pa, pb)``, bit for bit.
+def _pointwise_cells(a: _Columns, b: _Columns, fn) -> list[tuple[float, float, complex]]:
+    """(lo, hi, fn(ca, cb)) on the cells of ``merge_pieces`` over the pieces of a and b, bit for bit.
 
-    The merge written out for two piece lists, with a cursor on each: a
-    list's next breakpoint is the stop of its live piece, or in a gap the
-    start of its next piece (coefficient 0j), or +inf once it is spent.
-    Cells that neither list covers are skipped.  A cell ends at the first
-    list's bound among equal bounds, as ``min`` picks it, which keeps the
-    sign of a zero bound.
+    The merge written out for two components' columns, with a cursor on
+    each: a component's next breakpoint is the stop of its live piece, or in
+    a gap the start of its next piece (coefficient 0j), or +inf once it is
+    spent.  Cells that neither component covers are skipped.  A cell ends
+    at the first component's bound among equal bounds, as ``min`` picks it,
+    which keeps the sign of a zero bound.
     """
     inf = math.inf
-    na, nb = len(pa), len(pb)
+    sa, ta, ka = a
+    sb, tb, kb = b
+    na, nb = len(sa), len(sb)
     i = j = 0
-    xa = pa[0].start if na else inf  # next breakpoint of each list
-    xb = pb[0].start if nb else inf
-    ca = cb = 0j  # coefficient of each list on the current cell
+    xa = sa[0] if na else inf  # next breakpoint of each component
+    xb = sb[0] if nb else inf
+    ca = cb = 0j  # coefficient of each component on the current cell
     live_a = live_b = False
     cells = []
     append = cells.append
@@ -242,23 +270,19 @@ def _pointwise_cells(
                 i += 1
             if i == na:
                 live_a, ca, xa = False, 0j, inf
-            else:
-                p = pa[i]
-                if p.start == lo:
-                    live_a, ca, xa = True, p.coef, p.stop
-                else:  # a gap until p
-                    live_a, ca, xa = False, 0j, p.start
+            elif sa[i] == lo:
+                live_a, ca, xa = True, ka[i], ta[i]
+            else:  # a gap until the next piece
+                live_a, ca, xa = False, 0j, sa[i]
         if xb == lo:
             if live_b:
                 j += 1
             if j == nb:
                 live_b, cb, xb = False, 0j, inf
+            elif sb[j] == lo:
+                live_b, cb, xb = True, kb[j], tb[j]
             else:
-                q = pb[j]
-                if q.start == lo:
-                    live_b, cb, xb = True, q.coef, q.stop
-                else:
-                    live_b, cb, xb = False, 0j, q.start
+                live_b, cb, xb = False, 0j, sb[j]
         hi = xb if xb < xa else xa
         if live_a or live_b:
             append((lo, hi, fn(ca, cb)))
@@ -278,9 +302,10 @@ def scale(f: StepFunction, alpha: complex) -> StepFunction:
     alpha = coefficient(alpha, "scale factor")
     if not cmath.isfinite(alpha):
         raise LogSpaceError(f"scale factor must be finite, got {alpha!r}")
-    return _wrap(
-        tuple([_from_cells([(p.start, p.stop, alpha * p.coef) for p in ps]) for ps in f.pieces])
-    )
+    out = []
+    for starts, stops, coefs in f.columns:
+        out.append(_from_cells(zip(starts, stops, [alpha * c for c in coefs])))
+    return _wrap(tuple(out))
 
 
 class NormKind:
@@ -412,26 +437,26 @@ def _norm_terms(f: StepFunction, table: _CellTable) -> list[float] | None:
     is clipped to the cells it overlaps: O(P log D + cells) per component
     for P step pieces and D density pieces, once the table is compiled.
     """
-    if len(f.pieces) != len(table):
+    if len(f.columns) != len(table):
         raise LogSpaceError("function/space mismatch")
     inf, log1p = math.inf, math.log1p
     terms: list[float] = []
     infinite = False
-    for ps, (realizable, starts, cells) in zip(f.pieces, table):
-        if not ps:
+    for (fstarts, fstops, coefs), (realizable, starts, cells) in zip(f.columns, table):
+        if not fstarts:
             continue
         if not realizable:
             raise LogSpaceError("symbolic component")
-        if ps[0].start < cells[0][0] or ps[-1].stop > cells[-1][1]:
+        if fstarts[0] < cells[0][0] or fstops[-1] > cells[-1][1]:
             raise LogSpaceError("out of carrier")
         if infinite:  # later components are still checked
             continue
         n = len(cells)
-        for p in ps:
-            a, b, mod = p.start, p.stop, abs(p.coef)
+        for a, b, c in zip(fstarts, fstops, coefs):
             if b == inf:
                 infinite = True
                 break
+            mod = abs(c)
             k = bisect_right(starts, a) - 1  # the cell holding a, then every cell that starts before b
             while k < n:
                 lo, hi, d, w1, w2 = cells[k]

@@ -415,12 +415,13 @@ def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
     Touching images of one piece in one target component are joined in the
     walk, so each piece usually reaches the builder once.
     """
-    if len(f.pieces) != tmap.src_components:
+    if len(f.columns) != tmap.src_components:
         raise LogSpaceError("function/space mismatch")
     buckets: list[list[tuple[float, float, complex]]] = [[] for _ in range(tmap.dst_components)]
-    sources = {comp: pieces for comp, pieces in enumerate(f.pieces) if pieces}
+    # one slice per piece, as in transport_set; its step carries the coefficient
+    sources = {comp: list(map(slice, *col)) for comp, col in enumerate(f.columns) if col[0]}
     for p, dst, lo, hi in _images(tmap, sources, join=True):
-        buckets[dst].append((lo, hi, p.coef))
+        buckets[dst].append((lo, hi, p.step))
     for cells in buckets:
         cells.sort(key=_bounds)
     return _wrap(tuple([_from_cells(cells) for cells in buckets]))
@@ -432,17 +433,18 @@ def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> S
     Every piece of f must lie in the carrier of its component's h.
     """
     h = _as_space_density(h, "weighting density")
-    if len(h) != len(f.pieces):
+    if len(h) != len(f.columns):
         raise LogSpaceError("kind/space mismatch")
     out = []
-    for hc, pieces in zip(h, f.pieces):
+    for hc, col in zip(h, f.columns):
         raw = []
-        for lo, hi, (p, w) in merge_pieces(pieces, hc.pieces):
+        # one slice per piece, its step the coefficient, as in lift
+        for lo, hi, (p, w) in merge_pieces(map(slice, *col), hc.pieces):
             if p is None:
                 continue
             if w is None:
                 raise LogSpaceError("out of carrier")
-            raw.append((lo, hi, p.coef / w.value))
+            raw.append((lo, hi, p.step / w.value))
         out.append(_from_cells(raw))
     return _wrap(tuple(out))
 

@@ -5,9 +5,10 @@ equal neighbours and then building each piece through ``StepPiece``, whose
 ``__post_init__`` converted and checked it.  The reference below is that
 path, copied: ``reference_canonical`` plus ``_reference_piece``.  The
 operations now hand their cells to ``_from_cells``, which checks each cell
-inline and fills a writable twin that it retypes to ``StepPiece`` when the
-piece is final.  Results must agree bit for bit, and
-a rejected input must raise the same ``LogSpaceError`` message.
+inline and writes a component's starts, stops and coefficients as three
+columns; ``StepFunction.pieces`` shows them as ``StepPiece`` records.
+Results must agree bit for bit, and a rejected input must raise the same
+``LogSpaceError`` message.
 
 The inputs reach the cases the builder must keep: products that underflow to
 zero, neighbours that round equal after scaling, and products that overflow.
@@ -54,7 +55,6 @@ from logspaces.sampling import (
     random_space,
     random_step_function,
 )
-from logspaces.stepfunctions import _StepTwin
 from logspaces.transport import _images
 
 
@@ -425,24 +425,20 @@ def _derived_functions():
     ]
 
 
-def test_derived_functions_build_each_piece_once(monkeypatch):
-    checked = []
-    post_init = StepPiece.__post_init__
-    monkeypatch.setattr(StepPiece, "__post_init__", lambda p: checked.append(p) or post_init(p))
-    results = _derived_functions()
-    assert sum(len(ps) for r in results for ps in r.pieces) > 0
-    assert checked == []  # the builder fills twins; nothing goes through __init__
-
-
 def test_derived_functions_hold_only_final_step_pieces():
     pieces = [p for r in _derived_functions() for ps in r.pieces for p in ps]
     assert len(pieces) > 20
     assert_final_records(pieces, StepPiece)
 
 
-def test_the_step_twin_has_exactly_the_pieces_slots():
-    # a field added to StepPiece must reach the twin, or retyping would mislay it
-    assert _StepTwin.__slots__ == StepPiece.__slots__
-    assert not issubclass(_StepTwin, StepPiece)
+def test_the_pieces_view_is_built_once_from_the_columns():
+    for f in _derived_functions():
+        before = hash(f)
+        view = f.pieces
+        assert f.pieces is view
+        assert [tuple(zip(*col)) for col in f.columns] == [
+            tuple((p.start, p.stop, p.coef) for p in ps) for ps in view
+        ]
+        assert hash(f) == before and f == StepFunction(view)
     with pytest.raises(LogSpaceError, match="step function pieces must be StepPiece records"):
-        StepFunction(((_StepTwin(),),))
+        StepFunction((((0.0, 1.0, 1j),),))

@@ -43,7 +43,7 @@ from logspaces.sampling import (
     random_space,
     random_step_function,
 )
-from logspaces.stepfunctions import _canonical
+from logspaces.stepfunctions import _canonical, _wrap
 from logspaces.transport import AffinePiece, ComponentTransport, TransportMap
 from test_mass_lines import _outcome as map_outcome
 from test_mass_lines import reference_between_spaces
@@ -80,7 +80,7 @@ def reference_weighting(f, h):
                 if lo < hi:
                     raw.append((lo, hi, p.coef / q.value))
         out.append(_canonical(raw))
-    return StepFunction(tuple(out))
+    return _wrap(tuple(out))
 
 
 def _clip_to_entries(tmap, comp, a, b):
@@ -125,7 +125,7 @@ def reference_lift(tmap, f):
             for dst, lo, hi in _checked_images(tmap, comp, p.start, p.stop):
                 if lo < hi:
                     buckets[dst].append((lo, hi, p.coef))
-    return StepFunction(tuple([_canonical(b) for b in buckets]))
+    return _wrap(tuple([_canonical(b) for b in buckets]))
 
 
 def _outcome(fn, *args):
@@ -171,7 +171,7 @@ def test_add_and_multiply_match_breakpoint_walk(seed, max_pieces):
     f = random_step_function(rng, space, max_pieces=max_pieces)
     g = random_step_function(rng, space, max_pieces=max_pieces)
     for got, fn in ((add(f, g), lambda x, y: x + y), (multiply(f, g), lambda x, y: x * y)):
-        want = StepFunction(tuple([_combine(a, b, fn) for a, b in zip(f.pieces, g.pieces)]))
+        want = _wrap(tuple([_combine(a, b, fn) for a, b in zip(f.pieces, g.pieces)]))
         assert _exact(got) == _exact(want)
 
 
