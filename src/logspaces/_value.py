@@ -99,9 +99,10 @@ class Value:
     def __init_subclass__(cls, frozen: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__dict__.get("__annotations__", ()))
-        slots = cls.__dict__.get("__slots__", ())
+        attrs = cls.__dict__
         cls.__match_args__ = names
-        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__ and n not in slots}
+        # a default is a plain class attribute; a slot or a property is a descriptor
+        cls._defaults = {n: attrs[n] for n in names if n in attrs and not hasattr(attrs[n], "__get__")}
         # an instance's field values as one tuple, which ==, hash and pickling
         # use; attrgetter returns a bare value for a single name
         if len(names) > 1:
@@ -163,16 +164,3 @@ class Value:
     def __reduce__(self):
         return self.__class__, self._values(self)
 
-
-def writable_twin(record: type) -> type:
-    """A writable, empty-constructed class with exactly the slots of the slotted `record`.
-
-    A builder that has checked a record's fields itself fills a twin with
-    plain attribute stores, and retypes it with ``obj.__class__ = record``
-    once the record is final, so no twin leaves the builder.  CPython allows
-    that assignment because the two classes lay out the same slots over the
-    same base; it costs about half of ``object.__new__`` plus one slot
-    ``__set__`` call per field, and skips ``__init__`` and its checks.
-    """
-    namespace = {"__slots__": record.__slots__, "__init__": object.__init__}
-    return type(f"_Writable{record.__name__}", (Value,), namespace, frozen=False)

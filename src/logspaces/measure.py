@@ -208,39 +208,42 @@ class MeasurableSet(Value):
         return math.fsum(b - a for _, a, b in self.parts)
 
 
-def merge_pieces(*piece_lists: Sequence) -> Iterator[tuple[float, float, tuple]]:
+def merge_pieces(*columns: Sequence[Sequence[float]]) -> Iterator[tuple[float, float, tuple]]:
     """Walk sorted, disjoint piece lists against each other on their breakpoints.
 
-    Pieces are anything with ``start`` and ``stop``; the lists may have gaps
-    and different spans.  Yields (lo, hi, pieces) for every cell between
-    consecutive breakpoints, where pieces[k] is the piece of list k covering
-    [lo, hi), or None if list k has none there.  Cells that no list covers
-    are skipped.  O(total pieces) for a fixed number of lists.
+    Each list is given as columns whose first two are its pieces' starts and
+    stops; the lists may have gaps and different spans.  Yields (lo, hi,
+    indexes) for every cell between consecutive breakpoints, where
+    indexes[k] is the index of the piece of list k covering [lo, hi), or
+    None if list k has none there.  Cells that no list covers are skipped.
+    O(total pieces) for a fixed number of lists.
     """
     inf = math.inf
-    lists = range(len(piece_lists))
-    its = [iter(pl) for pl in piece_lists]
-    heads = [next(it, None) for it in its]  # the live or the next piece of each list
-    live: list = [None] * len(piece_lists)
-    nxt = [inf if p is None else p.start for p in heads]  # next breakpoint of each list
-    covering = 0  # lists with a live piece; counted, since == on pieces is slow
+    lists = range(len(columns))
+    starts = [c[0] for c in columns]
+    stops = [c[1] for c in columns]
+    ends = [len(s) for s in starts]
+    at = [0] * len(columns)  # the index of the live or the next piece of each list
+    live: list = [None] * len(columns)
+    nxt = [s[0] if s else inf for s in starts]  # next breakpoint of each list
+    covering = 0  # lists with a live piece
     lo = min(nxt, default=inf)
     while lo != inf:
         for k in lists:
             if nxt[k] != lo:
                 continue
-            p = heads[k]
+            i = at[k]
             if live[k] is not None:  # the live piece ends here
                 covering -= 1
-                p = heads[k] = next(its[k], None)
-                if p is None:
+                i = at[k] = i + 1
+                if i == ends[k]:
                     live[k], nxt[k] = None, inf
                     continue
-            if p.start == lo:
-                live[k], nxt[k] = p, p.stop
+            if starts[k][i] == lo:
+                live[k], nxt[k] = i, stops[k][i]
                 covering += 1
-            else:  # a gap until p
-                live[k], nxt[k] = None, p.start
+            else:  # a gap until piece i
+                live[k], nxt[k] = None, starts[k][i]
         hi = min(nxt)
         if covering:
             yield lo, hi, tuple(live)
@@ -252,8 +255,10 @@ def refine(*piece_lists: Sequence[IntervalPiece]) -> list[tuple[float, float, tu
 
     Yields (start, stop, values) cells where every input is constant.
     """
+    columns = [([p.start for p in pl], [p.stop for p in pl]) for pl in piece_lists]
     return [
-        (lo, hi, tuple([p.value for p in cell])) for lo, hi, cell in merge_pieces(*piece_lists)
+        (lo, hi, tuple([pl[i].value for pl, i in zip(piece_lists, cell)]))
+        for lo, hi, cell in merge_pieces(*columns)
     ]
 
 

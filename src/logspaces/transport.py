@@ -10,15 +10,20 @@ mass over different component counts.
 A transport defers to the isometry decision: it is built only where
 ``decide_isometric_external`` calls the passports of the two spaces
 isometric, and raises "no measure-preserving map" elsewhere.  A true verdict
-fails to build in exactly two ways: "pairing incomplete", when a side holds
-two unbounded components, and a slope or offset outside the float range,
-rejected as an overflow.  A map built by hand is checked as it is built,
+fails to build in exactly three ways: "pairing incomplete", when a side
+holds two unbounded components; a slope or offset outside the float range,
+rejected as an overflow; and a cut whose position rounds past its cell's
+end, so that the next piece or image starts before it, rejected with the
+order message of a map built by hand.  A map built by hand is checked as it is built,
 so that it takes the form the construction gives: its component indexes
 are ints within its two component counts; each source component's affine
 pieces, read in entry order, ascend without overlap, and so do the images
-in each target component; and no piece's image is reversed.  The same
-walk groups the pieces by source component, each with its target, and
-``lift`` and ``transport_set`` read that grouping, not the entries.
+in each target component; and no piece's image is reversed.  A map is
+stored as columns, one set per source component holding its pieces' six
+fields and targets, with each entry a range of them; the construction
+appends to these columns and builds no record.  ``lift``,
+``transport_set``, ``render_transport``, ``==`` and ``hash`` read the
+columns, and ``entries`` shows them as records, built on first read.
 
 On step functions the transport acts by ``lift`` (coefficients ride along,
 intervals move), and ``transport_set`` maps interval sets.  Both require
@@ -37,9 +42,10 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from ._value import Value, integer, real, records, writable_twin
+from ._value import Value, finite_real, integer, real, records, sequence
 from .errors import LogSpaceError
 from .extreal import ExtendedReal
 from .measure import (
@@ -78,15 +84,18 @@ class AffinePiece(Value):
     image_stop: float
 
     def __post_init__(self):
-        # the lift hands image ends to the step-function builder, which takes floats
-        for name in self.__slots__:
+        # the lift hands image ends to the step-function builder, which takes
+        # floats; only the ends of an unbounded tail piece may be +inf
+        for name in ("start", "slope", "offset", "image_start"):
+            object.__setattr__(self, name, finite_real(getattr(self, name), f"affine piece {name}"))
+        for name in ("stop", "image_stop"):
             object.__setattr__(self, name, real(getattr(self, name), f"affine piece {name}"))
-        if not self.start < self.stop:
+        if not self.start < self.stop:  # a NaN stop fails it too
             raise LogSpaceError("affine piece must satisfy start < stop")
         if not self.slope > 0.0:
             raise LogSpaceError("affine piece slope must be > 0")
         # equal ends are legal: a built map holds images that collapse in floats
-        if self.image_start > self.image_stop:
+        if not self.image_start <= self.image_stop:  # a NaN image stop fails it too
             raise LogSpaceError(
                 f"affine piece must satisfy image_start <= image_stop, got [{self.image_start}, {self.image_stop})"
             )
@@ -103,12 +112,6 @@ class AffinePiece(Value):
         return self.offset + self.slope * x
 
 
-# the mass-line walk fills a writable twin of each piece it has checked, past
-# __init__, and retypes it to AffinePiece once no later segment can extend
-# it, so that a piece is neither checked nor built a second time
-_AffineTwin = writable_twin(AffinePiece)
-
-
 class ComponentTransport(Value):
     """The affine pieces that map source component `src` into target component `dst`."""
 
@@ -123,7 +126,20 @@ class ComponentTransport(Value):
 
 
 class TransportMap(Value):
-    """Entries between a source of `src_components` components and a target of `dst_components`."""
+    """Entries between a source of `src_components` components and a target of `dst_components`.
+
+    The map is stored as columns: ``columns[k]`` holds source component k's
+    affine pieces, in entry order, as seven tuples (their starts, stops,
+    slopes, offsets, image starts, image stops and target components), and
+    ``runs`` holds each entry as (src, dst, lo, hi), its pieces being those
+    at lo..hi-1 of its source's columns.  Every operation reads only these,
+    and ``==`` and ``hash`` run over them.  ``entries``, the first field,
+    shows the same pieces as ``ComponentTransport`` and ``AffinePiece``
+    records; it is built on its first read and kept, and the repr, pickles
+    and copies go through it.  The constructor takes the entries, checks
+    them and builds the columns from them, so a map built by hand equals
+    the one the construction builds.
+    """
 
     entries: tuple[ComponentTransport, ...]
     src_components: int = 1
@@ -135,26 +151,74 @@ class TransportMap(Value):
             if n < 1:
                 raise LogSpaceError(f"{name} must be >= 1, got {n}")
             object.__setattr__(self, name, n)
-        object.__setattr__(self, "entries", records(self.entries, ComponentTransport, "transport entries"))
-        by_source: dict[int, tuple[list[AffinePiece], list[int]]] = {}  # each source's pieces, their targets
+        entries = records(self.entries, ComponentTransport, "transport entries")
+        groups = [([], [], [], [], [], []) for _ in range(self.src_components)]
+        runs = []
         image_ends: dict[int, float] = {}  # each target's last image stop
-        for e in self.entries:
+        for e in entries:
             for i, count in ((e.src, self.src_components), (e.dst, self.dst_components)):
                 if not 0 <= i < count:
                     raise LogSpaceError(f"component index {i} out of range")
-            affine, dsts = by_source.setdefault(e.src, ([], []))
-            end = affine[-1].stop if affine else -math.inf
+            group = groups[e.src]
+            end = group[1][-1] if group[1] else -math.inf
             image_end = image_ends.get(e.dst, -math.inf)
+            lo = len(group[0])
             for p in e.pieces:
                 if p.start < end:
                     raise LogSpaceError(f"transport pieces of component {e.src} overlap or are out of order")
                 if p.image_start < image_end:
                     raise LogSpaceError(f"transport images in component {e.dst} overlap or are out of order")
                 end, image_end = p.stop, p.image_stop
+                for column, name in zip(group, AffinePiece.__slots__):  # a map's first six columns
+                    column.append(getattr(p, name))
             image_ends[e.dst] = image_end
-            affine.extend(e.pieces)
-            dsts.extend([e.dst] * len(e.pieces))
-        self.__dict__["_by_source"] = by_source  # not a field: ==, hash and repr ignore it
+            runs.append((e.src, e.dst, lo, len(group[0])))
+        _store(self, groups, runs, self.dst_components)
+        self.__dict__["entries"] = entries
+
+    # not a property: the value lives in the instance dict, where the
+    # constructor stores a hand-built map's checked entries and later reads
+    # find it without a call
+    @cached_property
+    def entries(self) -> tuple[ComponentTransport, ...]:
+        return _entries_view(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not TransportMap:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        # src_components is len(columns)
+        return self.columns, self.runs, self.dst_components
+
+
+def _store(tmap: TransportMap, groups: list, runs: list, dst_components: int) -> TransportMap:
+    """Write checked columns into `tmap`: each source's six piece columns, then its targets from the runs.
+
+    The construction and ``glue_transports`` call it on a bare map, past the
+    constructor and its checks.
+    """
+    targets: list[list[int]] = [[] for _ in groups]
+    for src, dst, lo, hi in runs:
+        targets[src] += [dst] * (hi - lo)
+    columns = tuple([tuple(map(tuple, group)) + (tuple(t),) for group, t in zip(groups, targets)])
+    tmap.__dict__.update(
+        columns=columns, runs=tuple(runs), src_components=len(groups), dst_components=dst_components
+    )
+    return tmap
+
+
+def _entries_view(tmap: TransportMap) -> tuple[ComponentTransport, ...]:
+    """The ``ComponentTransport`` records of a map's runs, with their ``AffinePiece`` records."""
+    out = []
+    for src, dst, lo, hi in tmap.runs:
+        fields = [column[lo:hi] for column in tmap.columns[src][:6]]
+        out.append(ComponentTransport(src, dst, tuple(map(AffinePiece, *fields))))
+    return tuple(out)
 
 
 class IsometryReport(Value):
@@ -196,19 +260,20 @@ def _mass_line(space: MeasureSpace) -> tuple[list[_Cell], float]:
     return line, m
 
 
-def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTransport]:
+def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> TransportMap:
     """Affine pieces matching equal mass on the two spaces' lines, grouped by component pair.
 
     The mass cuts of both lines, closer than eps merged, split the lines into
     segments; each segment maps the source cell it lies in onto the target
     cell, and touching segments of one pair with one affine law are joined.
     One pass over the sorted cell starts keeps the cuts below end - eps.
-    One walk over the cuts places each cut on both lines inline and writes
-    every affine piece once, as a twin; a line's cursor moves, and its cell
-    is unpacked, only when the cut leaves at most eps of that cell's mass,
-    and otherwise a cut's position is the one already computed there.  A
-    slope or offset outside the float range (a density ratio that overflows
-    or underflows, or an offset that overflows) is rejected as an overflow.
+    One walk over the cuts places each cut on both lines inline and appends
+    every affine piece once to its source's columns; a line's cursor moves,
+    and its cell is unpacked, only when the cut leaves at most eps of that
+    cell's mass, and otherwise a cut's position is the one already computed
+    there.  A slope or offset outside the float range (a density ratio that
+    overflows or underflows, or an offset that overflows) is rejected as an
+    overflow.
     """
     inf = math.inf
     sline, src_end = _mass_line(src)
@@ -229,9 +294,13 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTra
             cuts.append(m)
     cuts.append(end)
 
-    entries: list[tuple[int, int, list[AffinePiece]]] = []  # one run per (src, dst) pair
-    last = None  # the run's last piece, still a twin, which a touching segment of the same law extends
-    open_stop = open_slope = open_offset = 0.0  # its stop, slope and offset
+    groups = [([], [], [], [], [], []) for _ in src.components]  # each source's piece columns
+    runs: list[tuple[int, ...]] = []  # one (src, dst, lo, hi) run per component pair, hi set when it ends
+    image_ends = [-inf] * len(dst.components)  # each target's last image stop, once its run ends
+    # the last piece's stop, image stop, slope and offset, its stop and image
+    # stop read from the source's and the target's last piece as a run starts
+    open_stop = image_end = open_slope = open_offset = 0.0
+    bad = None  # the constructor's message for the first piece out of order, raised after the walk
     s_prev = d_prev = -1
     s_last, d_last = len(sline) - 1, len(dline) - 1
     si = di = 0
@@ -273,27 +342,35 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> list[ComponentTra
                 f"transport slope or offset overflows a float (slope {slope!r}, offset {offset!r})"
             )
         if sc != s_prev or dc != d_prev:
+            if runs:
+                runs[-1] += (len(starts),)
+                image_ends[d_prev] = image_end
             s_prev, d_prev = sc, dc
-            run: list[AffinePiece] = []
-            entries.append((sc, dc, run))
+            starts, stops, slopes, offsets, image_starts, image_stops = groups[sc]
+            runs.append((sc, dc, len(starts)))
+            open_stop, image_end = stops[-1] if stops else -inf, image_ends[dc]
         elif open_stop == p1 and open_slope == slope and open_offset == offset:
-            last.stop = open_stop = p2
-            last.image_stop = q2
+            stops[-1] = open_stop = p2
+            image_stops[-1] = image_end = q2
             continue
-        if last is not None:
-            last.__class__ = AffinePiece
-        last = _AffineTwin()
-        last.start = p1
-        last.stop = p2
-        last.slope = slope
-        last.offset = offset
-        last.image_start = q1
-        last.image_stop = q2
-        run.append(last)
-        open_stop, open_slope, open_offset = p2, slope, offset
-    if last is not None:
-        last.__class__ = AffinePiece
-    return [ComponentTransport(sc, dc, tuple(run)) for sc, dc, run in entries]
+        # a position rounded past its cell's end can put a piece before the last
+        if (p1 < open_stop or q1 < image_end) and bad is None:
+            if p1 < open_stop:
+                bad = f"transport pieces of component {sc} overlap or are out of order"
+            else:
+                bad = f"transport images in component {dc} overlap or are out of order"
+        starts.append(p1)
+        stops.append(p2)
+        slopes.append(slope)
+        offsets.append(offset)
+        image_starts.append(q1)
+        image_stops.append(q2)
+        open_stop, image_end, open_slope, open_offset = p2, q2, slope, offset
+    if bad is not None:
+        raise LogSpaceError(bad)
+    if runs:
+        runs[-1] += (len(starts),)
+    return _store(object.__new__(TransportMap), groups, runs, len(dst.components))
 
 
 def monotone_transport(src: Component, dst: Component) -> TransportMap:
@@ -303,14 +380,22 @@ def monotone_transport(src: Component, dst: Component) -> TransportMap:
 
 def glue_transports(pairs: Sequence[tuple[Component, Component]]) -> TransportMap:
     """Componentwise gluing of monotone transports; pair k maps component k to k."""
-    pairs = list(pairs)
-    if not pairs or any(len(p) != 2 for p in pairs):
+    pairs = sequence(pairs, "transport pairs", "a sequence of (source, target) component pairs")
+    if not pairs:
         raise LogSpaceError("pairing incomplete")
-    entries: list[ComponentTransport] = []
-    for k, (src, dst) in enumerate(pairs):
+    groups, runs = [], []
+    for k, pair in enumerate(pairs):
+        try:
+            src, dst = pair
+        except (TypeError, ValueError):
+            raise LogSpaceError(
+                f"transport pair must be a (source, target) component pair, got {pair!r}"
+            ) from None
         tmap = transport_between_spaces(MeasureSpace((src,)), MeasureSpace((dst,)))
-        entries.extend([ComponentTransport(k, k, e.pieces) for e in tmap.entries])
-    return TransportMap(tuple(entries), len(pairs), len(pairs))
+        # one source component, whose runs all map into target 0: relabel both as k
+        groups.append(tmap.columns[0][:6])
+        runs.extend([(k, k, lo, hi) for _, _, lo, hi in tmap.runs])
+    return _store(object.__new__(TransportMap), groups, runs, len(pairs))
 
 
 def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportMap:
@@ -323,88 +408,88 @@ def transport_between_spaces(src: MeasureSpace, dst: MeasureSpace) -> TransportM
         raise LogSpaceError("symbolic component")
     if not decide_isometric_external(build_passport(src), build_passport(dst)).verdict:
         raise LogSpaceError("no measure-preserving map")
-    return TransportMap(tuple(_match_mass_lines(src, dst)), len(src.components), len(dst.components))
+    return _match_mass_lines(src, dst)
 
 
-def _check_cover(p, covered: float, lost: float) -> None:
-    """A piece must be mapped up to a 1e-9 relative sliver, an unbounded one out to +inf.
+def _check_cover(start: float, stop: float, covered: float, lost: float) -> None:
+    """A piece [start, stop) must be mapped up to a 1e-9 relative sliver, an unbounded one out to +inf.
 
     `covered` is its mapped length and `lost` the length whose image is empty
     in floats.  Within the sliver a lost length is dropped; beyond it, a
     piece that the lost length alone leaves short raises "collapsed image",
     any other "unmapped support".
     """
-    length = p.stop - p.start
+    length = stop - start
     if math.isinf(length):
         if not math.isinf(covered):
             raise LogSpaceError("unmapped support")
     elif length - covered > _COVER_RTOL * (1.0 + length):
         if lost and not length - covered - lost > _COVER_RTOL * (1.0 + length):
             raise LogSpaceError(
-                f"collapsed image: [{p.start!r}, {p.stop!r}) maps to less than the target's float spacing"
+                f"collapsed image: [{start!r}, {stop!r}) maps to less than the target's float spacing"
             )
         raise LogSpaceError("unmapped support")
 
 
-def _images(tmap: TransportMap, sources: dict[int, Sequence], join: bool = False) -> Iterator[tuple]:
-    """(source piece, dst component, image start, image stop) for every cell of the sources.
+def _images(tmap: TransportMap, comp: int, pieces: Sequence, join: bool = False) -> Iterator[tuple]:
+    """(piece index, dst component, image start, image stop) for every cell of one source's pieces.
 
-    `sources` maps a source component to its sorted, disjoint pieces.  One
-    walk per component merges them with that component's affine pieces, as
-    the map's constructor grouped them, whose destinations sit in a parallel
-    list.  A cell's image ends follow ``AffinePiece.image_of``.
+    `pieces` holds the starts and stops of source component `comp`'s sorted,
+    disjoint pieces as its first two columns.  One walk merges them with
+    that component's affine pieces, read from the map's columns by index.
+    A cell's image ends follow ``AffinePiece.image_of``.
     With `join`, touching images of one piece in one target component are
     yielded as one.  An image that is empty in floats (shorter than the
     target's float spacing) is dropped, and its cell counts as unmapped.
     Each piece's cover is checked by ``_check_cover`` when the walk leaves
     it.
     """
-    for comp, pieces in sources.items():
-        affine, dsts = tmap._by_source.get(comp, ((), ()))
-        k = 0  # the position of the cell's affine piece
-        p = None  # the piece being walked
-        for lo, hi, (q, t) in merge_pieces(pieces, affine):
-            if q is not p:
-                if p is not None:
-                    _check_cover(p, covered, lost)
-                    if dst >= 0:
-                        yield p, dst, begin, end
-                # its mapped and collapsed length, summed cell by cell, and the
-                # target component of the image held back (none yet)
-                p, covered, lost, dst = q, 0.0, 0.0, -1
-            if q is None or t is None:
-                continue
-            while affine[k] is not t:
-                k += 1
-            # image_of's rule: an end of the affine piece snaps to its stored image end
-            y0 = t.image_start if lo == t.start else t.offset + t.slope * lo
-            y1 = t.image_stop if hi == t.stop else t.offset + t.slope * hi
-            if not y0 < y1:
-                lost += hi - lo
-                continue
-            covered += hi - lo
-            if join and dsts[k] == dst and y0 == end:
-                end = y1
-            else:
+    affine = tmap.columns[comp]
+    starts, stops, slopes, offsets, image_starts, image_stops, dsts = affine
+    p = None  # the index of the piece being walked
+    for lo, hi, (q, k) in merge_pieces(pieces, affine):
+        if q != p:
+            if p is not None:
+                _check_cover(pieces[0][p], pieces[1][p], covered, lost)
                 if dst >= 0:
                     yield p, dst, begin, end
-                dst, begin, end = dsts[k], y0, y1
-        if p is not None:
-            _check_cover(p, covered, lost)
+            # its mapped and collapsed length, summed cell by cell, and the
+            # target component of the image held back (none yet)
+            p, covered, lost, dst = q, 0.0, 0.0, -1
+        if q is None or k is None:
+            continue
+        # image_of's rule: an end of the affine piece snaps to its stored image end
+        y0 = image_starts[k] if lo == starts[k] else offsets[k] + slopes[k] * lo
+        y1 = image_stops[k] if hi == stops[k] else offsets[k] + slopes[k] * hi
+        if not y0 < y1:
+            lost += hi - lo
+            continue
+        covered += hi - lo
+        if join and dsts[k] == dst and y0 == end:
+            end = y1
+        else:
             if dst >= 0:
                 yield p, dst, begin, end
+            dst, begin, end = dsts[k], y0, y1
+    if p is not None:
+        _check_cover(pieces[0][p], pieces[1][p], covered, lost)
+        if dst >= 0:
+            yield p, dst, begin, end
 
 
 def transport_set(tmap: TransportMap, mset: MeasurableSet) -> MeasurableSet:
     """Image of an interval set under the transport."""
-    # a slice is the plainest object with a start and a stop: one part [a, b)
-    sources: dict[int, list[slice]] = {}
+    sources: dict[int, tuple[list[float], list[float]]] = {}  # each component's part starts and stops
     n = tmap.src_components
-    for comp, a, b in mset.parts:
+    for comp, a, b in mset.parts:  # sorted, so each component's parts come together
         if not 0 <= comp < n:
             raise LogSpaceError(f"component index {comp} out of range")
-        sources.setdefault(comp, []).append(slice(a, b))
-    return MeasurableSet(tuple([(dst, y0, y1) for _, dst, y0, y1 in _images(tmap, sources)]))
+        if comp not in sources:
+            starts, stops = sources[comp] = ([], [])
+        starts.append(a)
+        stops.append(b)
+    images = [(dst, y0, y1) for comp, parts in sources.items() for _, dst, y0, y1 in _images(tmap, comp, parts)]
+    return MeasurableSet(tuple(images))
 
 
 def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
@@ -418,10 +503,11 @@ def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
     if len(f.columns) != tmap.src_components:
         raise LogSpaceError("function/space mismatch")
     buckets: list[list[tuple[float, float, complex]]] = [[] for _ in range(tmap.dst_components)]
-    # one slice per piece, as in transport_set; its step carries the coefficient
-    sources = {comp: list(map(slice, *col)) for comp, col in enumerate(f.columns) if col[0]}
-    for p, dst, lo, hi in _images(tmap, sources, join=True):
-        buckets[dst].append((lo, hi, p.step))
+    for comp, col in enumerate(f.columns):
+        if col[0]:
+            coefs = col[2]
+            for i, dst, lo, hi in _images(tmap, comp, col, join=True):
+                buckets[dst].append((lo, hi, coefs[i]))
     for cells in buckets:
         cells.sort(key=_bounds)
     return _wrap(tuple([_from_cells(cells) for cells in buckets]))
@@ -437,14 +523,14 @@ def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> S
         raise LogSpaceError("kind/space mismatch")
     out = []
     for hc, col in zip(h, f.columns):
+        dens, coefs = hc.pieces, col[2]
         raw = []
-        # one slice per piece, its step the coefficient, as in lift
-        for lo, hi, (p, w) in merge_pieces(map(slice, *col), hc.pieces):
-            if p is None:
+        for lo, hi, (i, j) in merge_pieces(col, ([p.start for p in dens], [p.stop for p in dens])):
+            if i is None:
                 continue
-            if w is None:
+            if j is None:
                 raise LogSpaceError("out of carrier")
-            raw.append((lo, hi, p.step / w.value))
+            raw.append((lo, hi, coefs[i] / dens[j].value))
         out.append(_from_cells(raw))
     return _wrap(tuple(out))
 
@@ -498,11 +584,12 @@ def verify_isometry(
 def render_transport(tmap: TransportMap) -> str:
     """One header line per component pair, one line per affine piece."""
     lines = []
-    for entry in tmap.entries:
-        lines.append(f"component {entry.src} -> {entry.dst}")
-        for p in entry.pieces:
+    for src, dst, lo, hi in tmap.runs:
+        lines.append(f"component {src} -> {dst}")
+        starts, stops, slopes, offsets = tmap.columns[src][:4]
+        for i in range(lo, hi):
             lines.append(
-                f"src=[{format_real(p.start)},{format_real(p.stop)})"
-                f" slope={format_real(p.slope)} offset={format_real(p.offset)}"
+                f"src=[{format_real(starts[i])},{format_real(stops[i])})"
+                f" slope={format_real(slopes[i])} offset={format_real(offsets[i])}"
             )
     return "\n".join(lines)

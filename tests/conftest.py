@@ -10,6 +10,7 @@ import random
 import pytest
 
 from logspaces import IntervalPiece, MeasureSpace
+from logspaces.measure import merge_pieces
 
 
 def rel_close(a: float, b: float, rtol: float) -> bool:
@@ -29,6 +30,19 @@ def assert_final_records(pieces, cls) -> None:
         assert p == built and hash(p) == hash(built)
         for again in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
             assert type(again) is cls and again == p and hash(again) == hash(p)
+
+
+def merge_records(*piece_lists):
+    """``merge_pieces`` over lists of records that have a ``start`` and a ``stop``.
+
+    Yields (lo, hi, records): the record of each list covering the cell, or
+    None.  A thin wrapper over the one column walk, for references written
+    against records.
+    """
+    lists = [tuple(pl) for pl in piece_lists]
+    columns = [([p.start for p in pl], [p.stop for p in pl]) for pl in lists]
+    for lo, hi, cell in merge_pieces(*columns):
+        yield lo, hi, tuple([None if i is None else pl[i] for pl, i in zip(lists, cell)])
 
 
 def random_integrand(rng: random.Random, space: MeasureSpace, vmax: float = 5.0):

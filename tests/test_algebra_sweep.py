@@ -23,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import merge_records
 from logspaces import (
     LogSpaceError,
     StepFunction,
@@ -41,7 +42,7 @@ _OPS = [(add, operator.add), (multiply, operator.mul)]
 def reference_cells(pa, pb, fn):
     return [
         (lo, hi, fn(0j if p is None else p.coef, 0j if q is None else q.coef))
-        for lo, hi, (p, q) in merge_pieces(pa, pb)
+        for lo, hi, (p, q) in merge_records(pa, pb)
     ]
 
 

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_final_records
+from conftest import assert_final_records, merge_records
 from logspaces import (
     Component,
     IntervalPiece,
@@ -46,7 +46,6 @@ from logspaces import (
     transport_between_spaces,
     weighting_isometry,
 )
-from logspaces.measure import merge_pieces
 from logspaces.sampling import (
     random_density,
     random_equal_passport_pair,
@@ -117,7 +116,7 @@ def reference_pointwise(f, g, fn):
         reference_canonical(
             [
                 (lo, hi, fn(0j if p is None else p.coef, 0j if q is None else q.coef))
-                for lo, hi, (p, q) in merge_pieces(pa, pb)
+                for lo, hi, (p, q) in merge_records(pa, pb)
             ]
         )
         for pa, pb in zip(f.pieces, g.pieces)
@@ -128,7 +127,7 @@ def reference_weighting(f, h):
     out = []
     for hc, pieces in zip(h, f.pieces):
         raw = []
-        for lo, hi, (p, w) in merge_pieces(pieces, hc.pieces):
+        for lo, hi, (p, w) in merge_records(pieces, hc.pieces):
             if p is None:
                 continue
             if w is None:
@@ -142,10 +141,12 @@ def reference_lift(tmap, f):
     if len(f.pieces) != tmap.src_components:
         raise LogSpaceError("function/space mismatch")
     buckets = [[] for _ in range(tmap.dst_components)]
-    sources = {comp: pieces for comp, pieces in enumerate(f.pieces) if pieces}
-    for p, dst, lo, hi in _images(tmap, sources):
-        if lo < hi:
-            buckets[dst].append((lo, hi, p.coef))
+    for comp, pieces in enumerate(f.pieces):
+        if pieces:
+            columns = ([p.start for p in pieces], [p.stop for p in pieces])
+            for i, dst, lo, hi in _images(tmap, comp, columns):
+                if lo < hi:
+                    buckets[dst].append((lo, hi, pieces[i].coef))
     return [reference_canonical(b) for b in buckets]
 
 

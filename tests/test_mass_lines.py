@@ -4,9 +4,9 @@ Transports used to turn every density piece into a frozen ``_Cell`` whose
 ``invert`` method placed a mass on it, and built every affine piece through
 the validating ``AffinePiece`` constructor, once per segment and again per
 merge.  The reference below is that construction, copied.  The walk in
-``transport.py`` now reads parallel float lists and fills each affine piece
-once, as a writable twin that it retypes to ``AffinePiece`` when the piece
-is final.  Maps must agree bit for bit, and a rejected pair
+``transport.py`` now reads parallel float lists and appends each affine
+piece once to its source component's columns, building no record.  Maps
+must agree bit for bit, and a rejected pair
 must raise the same ``LogSpaceError`` message.  The one intended difference:
 a slope or offset outside the float range, which the old construction stored
 (or reported as a zero slope), is now rejected as an overflow.
@@ -53,7 +53,7 @@ from logspaces.sampling import (
     random_matched_components_pair,
     random_space,
 )
-from logspaces.transport import ComponentTransport, TransportMap, _AffineTwin
+from logspaces.transport import ComponentTransport, TransportMap
 
 OVERFLOW = "transport slope or offset overflows a float"
 
@@ -184,8 +184,16 @@ def _outcome(build, *args):
 
 
 def _out_of_range(outcome):
-    """Whether the old construction stored a non-finite slope or offset, or a zero slope."""
+    """Whether the old construction stored a non-finite slope or offset, or a zero slope.
+
+    ``AffinePiece`` now refuses a non-finite slope or offset, so the copied
+    construction raises that error where it used to store the value.
+    """
     if outcome == ("LogSpaceError", "affine piece slope must be > 0"):
+        return True
+    if outcome[0] == "LogSpaceError" and outcome[1].startswith(
+        ("affine piece slope must be finite", "affine piece offset must be finite")
+    ):
         return True
     if outcome[0] == "LogSpaceError":
         return False
@@ -415,7 +423,7 @@ def _built_maps():
     (m,) = [c.measure().value for c in tail.components]
     joined = transport_between_spaces(MeasureSpace((comp,)), MeasureSpace(tuple(_recut(rng, comp, False))))
     # the recut adds a segment of the law of its neighbour, which the walk joins
-    assert len(joined.entries[0].pieces) <= len(comp.density.pieces)
+    assert len(joined.columns[0][0]) <= len(comp.density.pieces)
     return [
         transport_between_spaces(src, dst),
         transport_between_spaces(dst, src),
@@ -430,22 +438,14 @@ def test_building_a_map_writes_each_affine_piece_once(monkeypatch):
     post_init = AffinePiece.__post_init__
     monkeypatch.setattr(AffinePiece, "__post_init__", lambda p: checked.append(p) or post_init(p))
     maps = _built_maps()
-    assert sum(len(e.pieces) for t in maps for e in t.entries) > 0
-    assert checked == []  # the walk fills twins; nothing goes through __init__
+    assert sum(len(cols[0]) for t in maps for cols in t.columns) > 0
+    assert checked == []  # the walk appends to columns; nothing goes through __init__
 
 
 def test_built_maps_hold_only_final_affine_pieces():
     pieces = [p for t in _built_maps() for e in t.entries for p in e.pieces]
     assert len(pieces) > 10
     assert_final_records(pieces, AffinePiece)
-
-
-def test_the_affine_twin_has_exactly_the_pieces_slots():
-    # a field added to AffinePiece must reach the twin, or retyping would mislay it
-    assert _AffineTwin.__slots__ == AffinePiece.__slots__
-    assert not issubclass(_AffineTwin, AffinePiece)
-    with pytest.raises(LogSpaceError, match="transport pieces must be AffinePiece records"):
-        ComponentTransport(0, 0, (_AffineTwin(),))
 
 
 def test_affine_pieces_built_directly_are_still_checked():

@@ -7,6 +7,8 @@ pointwise operations, a per-piece slice of h for the weighting, and a scan
 of every transport entry for every source piece for lift and set transport.
 They produce the same cells and the same arithmetic, so results must be
 equal, not merely close, and unmapped support must raise the same error.
+``merge_pieces`` itself now walks (starts, stops) columns and yields piece
+indexes; a frozen copy of its record walk pins its cells bit for bit.
 """
 
 import math
@@ -217,30 +219,92 @@ def test_lift_and_transport_set_match_entry_scan(seed, matched, tail, shift):
     assert got == _exact(_outcome(reference_transport_set, tmap, mset))
 
 
-class _P:
+def test_merge_pieces_handles_gaps_and_different_spans():
+    a = ([0.0, 2.0], [1.0, 3.0])
+    b = ([0.5], [2.5])
+    c = ([5.0], [math.inf])
+    assert list(merge_pieces(a, b, c)) == [
+        (0.0, 0.5, (0, None, None)),
+        (0.5, 1.0, (0, 0, None)),
+        (1.0, 2.0, (None, 0, None)),
+        (2.0, 2.5, (1, 0, None)),
+        (2.5, 3.0, (1, None, None)),
+        # [3, 5) is covered by no list and skipped
+        (5.0, math.inf, (None, None, 0)),
+    ]
+    assert list(merge_pieces(([], []), ([], []))) == []
+    assert [(lo, hi) for lo, hi, _ in merge_pieces(a, ([], []))] == [(0.0, 1.0), (2.0, 3.0)]
+
+
+class _Piece:
     def __init__(self, start, stop):
         self.start, self.stop = start, stop
 
-    def __repr__(self):
-        return f"_P({self.start}, {self.stop})"
+
+def frozen_record_merge(*piece_lists):
+    """``merge_pieces`` as it walked lists of records, copied before it read columns."""
+    inf = math.inf
+    lists = range(len(piece_lists))
+    its = [iter(pl) for pl in piece_lists]
+    heads = [next(it, None) for it in its]
+    live = [None] * len(piece_lists)
+    nxt = [inf if p is None else p.start for p in heads]
+    covering = 0
+    lo = min(nxt, default=inf)
+    while lo != inf:
+        for k in lists:
+            if nxt[k] != lo:
+                continue
+            p = heads[k]
+            if live[k] is not None:
+                covering -= 1
+                p = heads[k] = next(its[k], None)
+                if p is None:
+                    live[k], nxt[k] = None, inf
+                    continue
+            if p.start == lo:
+                live[k], nxt[k] = p, p.stop
+                covering += 1
+            else:
+                live[k], nxt[k] = None, p.start
+        hi = min(nxt)
+        if covering:
+            yield lo, hi, tuple(live)
+        lo = hi
 
 
-def test_merge_pieces_handles_gaps_and_different_spans():
-    a = [_P(0.0, 1.0), _P(2.0, 3.0)]
-    b = [_P(0.5, 2.5)]
-    c = [_P(5.0, math.inf)]
-    cells = [(lo, hi, tuple(p and (p.start, p.stop) for p in ps)) for lo, hi, ps in merge_pieces(a, b, c)]
-    assert cells == [
-        (0.0, 0.5, ((0.0, 1.0), None, None)),
-        (0.5, 1.0, ((0.0, 1.0), (0.5, 2.5), None)),
-        (1.0, 2.0, (None, (0.5, 2.5), None)),
-        (2.0, 2.5, ((2.0, 3.0), (0.5, 2.5), None)),
-        (2.5, 3.0, ((2.0, 3.0), None, None)),
-        # [3, 5) is covered by no list and skipped
-        (5.0, math.inf, (None, None, (5.0, math.inf))),
+_GRID = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf]
+
+
+@st.composite
+def piece_columns(draw):
+    """(starts, stops) of sorted, disjoint pieces on a coarse grid: gaps, touching pieces,
+    an unbounded end, and each 0 drawn as -0.0 or 0.0; possibly no pieces at all."""
+    points = sorted(set(draw(st.lists(st.sampled_from(_GRID), max_size=7))))
+    starts, stops = [], []
+    for a, b in zip(points, points[1:]):
+        if draw(st.booleans()):
+            a, b = [draw(st.sampled_from([-0.0, 0.0])) if x == 0 else x for x in (a, b)]
+            starts.append(a)
+            stops.append(b)
+    return starts, stops
+
+
+def _bits(lo, hi, pieces):
+    """A cell's bounds and each list's (start, stop), or None, as bit patterns."""
+    return lo.hex(), hi.hex(), tuple(p and (p[0].hex(), p[1].hex()) for p in pieces)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(piece_columns(), min_size=1, max_size=4))
+def test_the_column_walk_gives_the_cells_of_the_record_walk_bit_for_bit(columns):
+    records = [[_Piece(a, b) for a, b in zip(*col)] for col in columns]
+    want = [_bits(lo, hi, [p and (p.start, p.stop) for p in ps]) for lo, hi, ps in frozen_record_merge(*records)]
+    got = [
+        _bits(lo, hi, [None if i is None else (s[i], t[i]) for (s, t), i in zip(columns, ix)])
+        for lo, hi, ix in merge_pieces(*columns)
     ]
-    assert list(merge_pieces([], [])) == []
-    assert [(lo, hi) for lo, hi, _ in merge_pieces(a, [])] == [(0.0, 1.0), (2.0, 3.0)]
+    assert got == want
 
 
 def test_an_unbounded_piece_needs_an_unbounded_image():

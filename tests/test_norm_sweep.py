@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import merge_records
 from logspaces import (
     EXTERNAL,
     Component,
@@ -180,7 +181,7 @@ def merged_table(space, kind):
     return [
         [
             (lo, hi, d.value, w1.value, w2.value)
-            for lo, hi, (d, w1, w2) in merge_pieces(comp.density.pieces, a.pieces, b.pieces)
+            for lo, hi, (d, w1, w2) in merge_records(comp.density.pieces, a.pieces, b.pieces)
         ]
         for comp, a, b in zip(space.components, h1, h2)
     ]

@@ -105,6 +105,22 @@ class TestGlueAndInfinite:
         with pytest.raises(LogSpaceError, match="pairing incomplete"):
             glue_transports([])
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (lambda c: [c], "transport pair must be a (source, target) component pair, got {c!r}"),
+            (lambda c: [1], "transport pair must be a (source, target) component pair, got 1"),
+            (lambda c: [(c, c), (c,)], "transport pair must be a (source, target) component pair, got ({c!r},)"),
+            (lambda c: [(c, c, c)], "transport pair must be a (source, target) component pair, got ({c!r}, {c!r}, {c!r})"),
+            (lambda c: None, "transport pairs must be a sequence of (source, target) component pairs, got None"),
+        ],
+    )
+    def test_a_bad_pair_is_named(self, pairs, message):
+        # each raised the TypeError of len() or of iterating
+        c = comp([(0.0, 1.0, 1.0)])
+        with pytest.raises(LogSpaceError, match=f"^{re.escape(message.format(c=c))}$"):
+            glue_transports(pairs(c))
+
 
 class TestSpaceTransport:
     def test_one_component_to_two(self):

@@ -352,6 +352,36 @@ def test_real_fields_reject_integers_too_large_for_a_float(build, name):
         build(10**400)
 
 
+# (fields, the constructor's message) for affine pieces holding a NaN or an
+# infinity; only stop and image_stop may be +inf, as the unbounded tail piece
+# needs.  Each of these used to build, and went through a map's constructor.
+NON_FINITE_AFFINE = [
+    ((0, 1, math.inf, 0, 0, 1), "affine piece slope must be finite, got inf"),
+    ((0, 1, math.nan, 0, 0, 1), "affine piece slope must be finite, got nan"),
+    ((0, 1, 1, math.nan, 0, 1), "affine piece offset must be finite, got nan"),
+    ((0, 1, 1, math.inf, 0, 1), "affine piece offset must be finite, got inf"),
+    ((0, 1, 1, -math.inf, 0, 1), "affine piece offset must be finite, got -inf"),
+    ((0, 1, 1, 0, math.nan, 1), "affine piece image_start must be finite, got nan"),
+    ((0, 1, 1, 0, -math.inf, 1), "affine piece image_start must be finite, got -inf"),
+    ((0, 1, 1, 0, 0, math.nan), "affine piece must satisfy image_start <= image_stop, got [0.0, nan)"),
+    ((-math.inf, 1, 1, 0, 0, 1), "affine piece start must be finite, got -inf"),
+    ((math.nan, 1, 1, 0, 0, 1), "affine piece start must be finite, got nan"),
+    ((0, math.nan, 1, 0, 0, 1), "affine piece must satisfy start < stop"),
+]
+
+
+@pytest.mark.parametrize("fields, message", NON_FINITE_AFFINE)
+def test_affine_pieces_reject_nan_and_infinite_fields_by_name(fields, message):
+    with pytest.raises(LogSpaceError, match=f"^{re.escape(message)}$"):
+        AffinePiece(*fields)
+
+
+def test_only_the_ends_of_an_affine_piece_may_be_unbounded():
+    tail = AffinePiece(0, math.inf, 1, 0, 0, math.inf)
+    assert (tail.stop, tail.image_stop) == (math.inf, math.inf)
+    assert TransportMap((ComponentTransport(0, 0, (tail,)),)).entries[0].pieces == (tail,)
+
+
 # (constructor, field name in the message) for every complex coefficient,
 # read by the one coefficient reader
 COEFFICIENT_FIELDS = [
