@@ -13,15 +13,16 @@ isometric, and raises "no measure-preserving map" elsewhere.  A true verdict
 fails to build in exactly three ways: "pairing incomplete", when a side
 holds two unbounded components; a slope or offset outside the float range,
 rejected as an overflow; and a cut whose position rounds past its cell's
-end, so that the next piece or image starts before it, rejected with the
-order message of a map built by hand.  A map built by hand is checked as it is built,
-so that it takes the form the construction gives: its component indexes
-are ints within its two component counts; each source component's affine
-pieces, read in entry order, ascend without overlap, and so do the images
-in each target component; and no piece's image is reversed.  A map is
-stored as columns, one set per source component holding its pieces' six
-fields and targets, with each entry a range of them; the construction
-appends to these columns and builds no record.  ``lift``,
+end, so that the next piece or image starts before it, rejected by the
+order check of ``_store``, which every map passes.  A map built by hand is
+checked as it is built, so that it takes the form the construction gives:
+its component indexes are ints within its two component counts; each
+source component's affine pieces, read in entry order, ascend without
+overlap, and so do the images in each target component; and no piece's
+image is reversed.  A map is stored as columns, one set per source
+component holding its pieces' five fields (the offset is derived) and
+targets, with each entry a range of them; the construction appends to
+these columns and builds no record.  ``lift``,
 ``transport_set``, ``render_transport``, ``==`` and ``hash`` read the
 columns, and ``entries`` shows them as records, built on first read.
 
@@ -73,21 +74,21 @@ _COVER_RTOL = 1e-9
 
 
 class AffinePiece(Value):
-    """y = offset + slope * x on [start, stop), landing on [image_start, image_stop)."""
+    """y = offset + slope * x on [start, stop), landing on [image_start, image_stop); the offset is derived."""
 
-    __slots__ = ("start", "stop", "slope", "offset", "image_start", "image_stop")
+    __slots__ = ("start", "stop", "slope", "image_start", "image_stop")
     start: float
     stop: float
     slope: float
-    offset: float
     image_start: float
     image_stop: float
 
     def __post_init__(self):
         # the lift hands image ends to the step-function builder, which takes
         # floats; only the ends of an unbounded tail piece may be +inf
-        for name in ("start", "slope", "offset", "image_start"):
+        for name in ("start", "slope", "image_start"):
             object.__setattr__(self, name, finite_real(getattr(self, name), f"affine piece {name}"))
+        finite_real(self.offset, "affine piece offset")  # slope * start may overflow
         for name in ("stop", "image_stop"):
             object.__setattr__(self, name, real(getattr(self, name), f"affine piece {name}"))
         if not self.start < self.stop:  # a NaN stop fails it too
@@ -99,6 +100,15 @@ class AffinePiece(Value):
             raise LogSpaceError(
                 f"affine piece must satisfy image_start <= image_stop, got [{self.image_start}, {self.image_stop})"
             )
+
+    @property
+    def offset(self) -> float:
+        return self.image_start - self.slope * self.start
+
+    def __repr__(self):
+        # the offset sits between slope and image_start, where map reprs and their digests expect it
+        names = ("start", "stop", "slope", "offset", "image_start", "image_stop")
+        return f"AffinePiece({', '.join([f'{n}={getattr(self, n)!r}' for n in names])})"
 
     def image_of(self, x: float) -> float:
         """Map a point; endpoints snap to the stored image interval ends.
@@ -129,16 +139,17 @@ class TransportMap(Value):
     """Entries between a source of `src_components` components and a target of `dst_components`.
 
     The map is stored as columns: ``columns[k]`` holds source component k's
-    affine pieces, in entry order, as seven tuples (their starts, stops,
-    slopes, offsets, image starts, image stops and target components), and
-    ``runs`` holds each entry as (src, dst, lo, hi), its pieces being those
-    at lo..hi-1 of its source's columns.  Every operation reads only these,
+    affine pieces, in entry order, as six tuples (their starts, stops,
+    slopes, image starts, image stops and target components), and ``runs``
+    holds each entry as (src, dst, lo, hi), its pieces being those at
+    lo..hi-1 of its source's columns.  Every operation reads only these,
     and ``==`` and ``hash`` run over them.  ``entries``, the first field,
     shows the same pieces as ``ComponentTransport`` and ``AffinePiece``
     records; it is built on its first read and kept, and the repr, pickles
     and copies go through it.  The constructor takes the entries, checks
-    them and builds the columns from them, so a map built by hand equals
-    the one the construction builds.
+    their component indexes and builds the columns from them; ``_store``
+    checks their order, as it does for every map, so a map built by hand
+    equals the one the construction builds.
     """
 
     entries: tuple[ComponentTransport, ...]
@@ -152,26 +163,16 @@ class TransportMap(Value):
                 raise LogSpaceError(f"{name} must be >= 1, got {n}")
             object.__setattr__(self, name, n)
         entries = records(self.entries, ComponentTransport, "transport entries")
-        groups = [([], [], [], [], [], []) for _ in range(self.src_components)]
+        groups = [([], [], [], [], []) for _ in range(self.src_components)]
         runs = []
-        image_ends: dict[int, float] = {}  # each target's last image stop
         for e in entries:
             for i, count in ((e.src, self.src_components), (e.dst, self.dst_components)):
                 if not 0 <= i < count:
                     raise LogSpaceError(f"component index {i} out of range")
             group = groups[e.src]
-            end = group[1][-1] if group[1] else -math.inf
-            image_end = image_ends.get(e.dst, -math.inf)
             lo = len(group[0])
-            for p in e.pieces:
-                if p.start < end:
-                    raise LogSpaceError(f"transport pieces of component {e.src} overlap or are out of order")
-                if p.image_start < image_end:
-                    raise LogSpaceError(f"transport images in component {e.dst} overlap or are out of order")
-                end, image_end = p.stop, p.image_stop
-                for column, name in zip(group, AffinePiece.__slots__):  # a map's first six columns
-                    column.append(getattr(p, name))
-            image_ends[e.dst] = image_end
+            for column, name in zip(group, AffinePiece.__slots__):  # a map's first five columns
+                column.extend([getattr(p, name) for p in e.pieces])
             runs.append((e.src, e.dst, lo, len(group[0])))
         _store(self, groups, runs, self.dst_components)
         self.__dict__["entries"] = entries
@@ -197,13 +198,26 @@ class TransportMap(Value):
 
 
 def _store(tmap: TransportMap, groups: list, runs: list, dst_components: int) -> TransportMap:
-    """Write checked columns into `tmap`: each source's six piece columns, then its targets from the runs.
+    """Check a map's order, then write its columns into `tmap`: each source's five piece columns and its targets.
 
-    The construction and ``glue_transports`` call it on a bare map, past the
-    constructor and its checks.
+    This is every map's one order check: read in entry order, each source's
+    pieces must ascend without overlap, and so must the images in each
+    target.  The constructor calls it, and so do the construction and
+    ``glue_transports`` on a bare map, past the constructor.
     """
     targets: list[list[int]] = [[] for _ in groups]
+    image_ends: dict[int, float] = {}  # each target's last image stop
     for src, dst, lo, hi in runs:
+        starts, stops, _, image_starts, image_stops = groups[src]
+        end = stops[lo - 1] if lo else -math.inf
+        image_end = image_ends.get(dst, -math.inf)
+        for i in range(lo, hi):
+            if starts[i] < end:
+                raise LogSpaceError(f"transport pieces of component {src} overlap or are out of order")
+            if image_starts[i] < image_end:
+                raise LogSpaceError(f"transport images in component {dst} overlap or are out of order")
+            end, image_end = stops[i], image_stops[i]
+        image_ends[dst] = image_end
         targets[src] += [dst] * (hi - lo)
     columns = tuple([tuple(map(tuple, group)) + (tuple(t),) for group, t in zip(groups, targets)])
     tmap.__dict__.update(
@@ -216,7 +230,7 @@ def _entries_view(tmap: TransportMap) -> tuple[ComponentTransport, ...]:
     """The ``ComponentTransport`` records of a map's runs, with their ``AffinePiece`` records."""
     out = []
     for src, dst, lo, hi in tmap.runs:
-        fields = [column[lo:hi] for column in tmap.columns[src][:6]]
+        fields = [column[lo:hi] for column in tmap.columns[src][:5]]
         out.append(ComponentTransport(src, dst, tuple(map(AffinePiece, *fields))))
     return tuple(out)
 
@@ -273,7 +287,7 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> TransportMap:
     cell's mass, and otherwise a cut's position is the one already computed
     there.  A slope or offset outside the float range (a density ratio that
     overflows or underflows, or an offset that overflows) is rejected as an
-    overflow.
+    overflow at once, and ``_store`` checks the pieces' order after the walk.
     """
     inf = math.inf
     sline, src_end = _mass_line(src)
@@ -294,13 +308,10 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> TransportMap:
             cuts.append(m)
     cuts.append(end)
 
-    groups = [([], [], [], [], [], []) for _ in src.components]  # each source's piece columns
+    groups = [([], [], [], [], []) for _ in src.components]  # each source's piece columns
     runs: list[tuple[int, ...]] = []  # one (src, dst, lo, hi) run per component pair, hi set when it ends
-    image_ends = [-inf] * len(dst.components)  # each target's last image stop, once its run ends
-    # the last piece's stop, image stop, slope and offset, its stop and image
-    # stop read from the source's and the target's last piece as a run starts
-    open_stop = image_end = open_slope = open_offset = 0.0
-    bad = None  # the constructor's message for the first piece out of order, raised after the walk
+    # the last piece's stop, slope and offset, which a touching piece of one law extends
+    open_stop = open_slope = open_offset = 0.0
     s_prev = d_prev = -1
     s_last, d_last = len(sline) - 1, len(dline) - 1
     si = di = 0
@@ -344,30 +355,19 @@ def _match_mass_lines(src: MeasureSpace, dst: MeasureSpace) -> TransportMap:
         if sc != s_prev or dc != d_prev:
             if runs:
                 runs[-1] += (len(starts),)
-                image_ends[d_prev] = image_end
             s_prev, d_prev = sc, dc
-            starts, stops, slopes, offsets, image_starts, image_stops = groups[sc]
+            starts, stops, slopes, image_starts, image_stops = groups[sc]
             runs.append((sc, dc, len(starts)))
-            open_stop, image_end = stops[-1] if stops else -inf, image_ends[dc]
         elif open_stop == p1 and open_slope == slope and open_offset == offset:
             stops[-1] = open_stop = p2
-            image_stops[-1] = image_end = q2
+            image_stops[-1] = q2
             continue
-        # a position rounded past its cell's end can put a piece before the last
-        if (p1 < open_stop or q1 < image_end) and bad is None:
-            if p1 < open_stop:
-                bad = f"transport pieces of component {sc} overlap or are out of order"
-            else:
-                bad = f"transport images in component {dc} overlap or are out of order"
         starts.append(p1)
         stops.append(p2)
         slopes.append(slope)
-        offsets.append(offset)
         image_starts.append(q1)
         image_stops.append(q2)
-        open_stop, image_end, open_slope, open_offset = p2, q2, slope, offset
-    if bad is not None:
-        raise LogSpaceError(bad)
+        open_stop, open_slope, open_offset = p2, slope, offset
     if runs:
         runs[-1] += (len(starts),)
     return _store(object.__new__(TransportMap), groups, runs, len(dst.components))
@@ -393,7 +393,7 @@ def glue_transports(pairs: Sequence[tuple[Component, Component]]) -> TransportMa
             ) from None
         tmap = transport_between_spaces(MeasureSpace((src,)), MeasureSpace((dst,)))
         # one source component, whose runs all map into target 0: relabel both as k
-        groups.append(tmap.columns[0][:6])
+        groups.append(tmap.columns[0][:5])
         runs.extend([(k, k, lo, hi) for _, _, lo, hi in tmap.runs])
     return _store(object.__new__(TransportMap), groups, runs, len(pairs))
 
@@ -445,7 +445,7 @@ def _images(tmap: TransportMap, comp: int, pieces: Sequence, join: bool = False)
     it.
     """
     affine = tmap.columns[comp]
-    starts, stops, slopes, offsets, image_starts, image_stops, dsts = affine
+    starts, stops, slopes, image_starts, image_stops, dsts = affine
     p = None  # the index of the piece being walked
     for lo, hi, (q, k) in merge_pieces(pieces, affine):
         if q != p:
@@ -458,9 +458,9 @@ def _images(tmap: TransportMap, comp: int, pieces: Sequence, join: bool = False)
             p, covered, lost, dst = q, 0.0, 0.0, -1
         if q is None or k is None:
             continue
-        # image_of's rule: an end of the affine piece snaps to its stored image end
-        y0 = image_starts[k] if lo == starts[k] else offsets[k] + slopes[k] * lo
-        y1 = image_stops[k] if hi == stops[k] else offsets[k] + slopes[k] * hi
+        # image_of's rule: an end snaps to its stored image end, a point inside maps by the law
+        y0 = image_starts[k] if lo == starts[k] else image_starts[k] - slopes[k] * starts[k] + slopes[k] * lo
+        y1 = image_stops[k] if hi == stops[k] else image_starts[k] - slopes[k] * starts[k] + slopes[k] * hi
         if not y0 < y1:
             lost += hi - lo
             continue
@@ -586,10 +586,10 @@ def render_transport(tmap: TransportMap) -> str:
     lines = []
     for src, dst, lo, hi in tmap.runs:
         lines.append(f"component {src} -> {dst}")
-        starts, stops, slopes, offsets = tmap.columns[src][:4]
+        starts, stops, slopes, image_starts = tmap.columns[src][:4]
         for i in range(lo, hi):
             lines.append(
                 f"src=[{format_real(starts[i])},{format_real(stops[i])})"
-                f" slope={format_real(slopes[i])} offset={format_real(offsets[i])}"
+                f" slope={format_real(slopes[i])} offset={format_real(image_starts[i] - slopes[i] * starts[i])}"
             )
     return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Transport maps stored as columns: equality, hashing and the ``entries`` view.
 
-A ``TransportMap`` holds each source component's affine pieces as seven
+A ``TransportMap`` holds each source component's affine pieces as six
 columns (``columns``) and each entry as a range of them (``runs``); ``==``
 and ``hash`` run over these, and ``entries`` is a view of
 ``ComponentTransport`` and ``AffinePiece`` records built on its first read.
@@ -40,7 +40,7 @@ from logspaces.sampling import (
 )
 
 
-_FIELDS = AffinePiece.__slots__
+_FIELDS = AffinePiece.__match_args__
 
 
 def _fields(tmap):
@@ -155,7 +155,7 @@ def small_maps(draw):
             length, slope = draw(st.sampled_from([0.5, 1.0])), draw(st.sampled_from([1.0, 2.0]))
             y = image_ends[dst]
             start = draw(st.sampled_from([-0.0, 0.0])) if x == 0 else x
-            piece = AffinePiece(start, x + length, slope, y - slope * x, y, y + slope * length)
+            piece = AffinePiece(start, x + length, slope, y, y + slope * length)
             if entries and (entries[-1].src, entries[-1].dst) == (src, dst) and draw(st.booleans()):
                 entries[-1] = ComponentTransport(src, dst, entries[-1].pieces + (piece,))
             else:

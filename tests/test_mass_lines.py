@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_final_records, rel_close
+from test_decision_agrees import RANGES, _partner, _source
 from logspaces import (
     AffinePiece,
     Component,
@@ -96,7 +97,8 @@ def reference_group_cells(items):
     return cells, m, total
 
 
-def reference_match_mass_lines(src_cells, src_total, dst_cells, dst_total):
+def reference_match_mass_lines(src_cells, src_total, dst_cells, dst_total, offsets=None):
+    """The entries of the matched lines; each kept piece's offset q1 - slope*p1 is appended to `offsets`."""
     infinite = math.isinf(src_total)
     cuts = {c.m0 for c in src_cells} | {c.m0 for c in dst_cells}
     if infinite:
@@ -124,31 +126,33 @@ def reference_match_mass_lines(src_cells, src_total, dst_cells, dst_total):
         if not p1 < p2:
             continue
         slope = sc.dens / dc.dens
-        piece = AffinePiece(p1, p2, slope, q1 - slope * p1, q1, q2)
+        offset = q1 - slope * p1
+        piece = AffinePiece(p1, p2, slope, q1, q2)
         pair = (sc.comp, dc.comp)
         if not runs or runs[-1][0] != pair:
-            runs.append((pair, [piece]))
+            runs.append((pair, [piece], [offset]))
             continue
-        run = runs[-1][1]
+        _, run, laws = runs[-1]
         prev = run[-1]
-        if prev.stop == piece.start and (prev.slope, prev.offset) == (piece.slope, piece.offset):
-            run[-1] = AffinePiece(
-                prev.start, piece.stop, prev.slope, prev.offset, prev.image_start, piece.image_stop
-            )
+        if prev.stop == piece.start and (prev.slope, laws[-1]) == (slope, offset):
+            run[-1] = AffinePiece(prev.start, piece.stop, prev.slope, prev.image_start, piece.image_stop)
         else:
             run.append(piece)
-    return [ComponentTransport(s, d, tuple(run)) for (s, d), run in runs]
+            laws.append(offset)
+    if offsets is not None:
+        offsets.extend([offset for _, _, laws in runs for offset in laws])
+    return [ComponentTransport(s, d, tuple(run)) for (s, d), run, _ in runs]
 
 
-def reference_match_groups(src, dst):
+def reference_match_groups(src, dst, offsets=None):
     src_cells, sm, src_total = reference_group_cells(src)
     dst_cells, dm, dst_total = reference_group_cells(dst)
     if not _same_measure(src_total, dst_total):
         raise LogSpaceError("no measure-preserving map")
-    return reference_match_mass_lines(src_cells, sm, dst_cells, dm)
+    return reference_match_mass_lines(src_cells, sm, dst_cells, dm, offsets)
 
 
-def reference_between_spaces(src, dst):
+def reference_between_spaces(src, dst, offsets=None):
     if not all(c.realizable for c in src.components + dst.components):
         raise LogSpaceError("symbolic component")
     src_groups, dst_groups = _weight_groups(src), _weight_groups(dst)
@@ -156,7 +160,7 @@ def reference_between_spaces(src, dst):
         raise LogSpaceError("no measure-preserving map")
     entries = []
     for weight, items in src_groups.items():
-        entries.extend(reference_match_groups(items, dst_groups[weight]))
+        entries.extend(reference_match_groups(items, dst_groups[weight], offsets))
     return TransportMap(tuple(entries), len(src.components), len(dst.components))
 
 
@@ -349,6 +353,111 @@ def test_the_many_tiny_pieces_component_matches_the_reference_construction():
         _assert_same_glued(src, other)
 
 
+def _offset_bits(src, dst):
+    """How many built pieces have a reference twin; each one's derived offset must be the twin's q1 - slope*p1.
+
+    A twin is a reference piece with the same stored fields, bit for bit.
+    The reference merges cuts within 1e-12 * (1 + total) where the walk
+    uses 1e-12 * total, so on a line whose total is far from 1 some pieces
+    have no twin, and a line far lighter than 1 fails it outright.
+    """
+    try:
+        built = transport_between_spaces(src, dst)
+    except LogSpaceError:  # an overflow or an order fault, which the tests above compare
+        return 0
+    offsets = []
+    try:
+        reference = reference_between_spaces(src, dst, offsets)
+    except (LogSpaceError, IndexError):  # every cut of a light line merged away
+        return 0
+
+    def stored(piece):
+        return tuple([getattr(piece, f).hex() for f in AffinePiece.__match_args__])
+
+    twins = {stored(p): x.hex() for p, x in zip([p for e in reference.entries for p in e.pieces], offsets)}
+    matched = 0
+    for p in (p for e in built.entries for p in e.pieces):
+        offset = twins.get(stored(p))
+        if offset is not None:
+            assert p.offset.hex() == offset
+            matched += 1
+    return matched
+
+
+@pytest.mark.parametrize("exponents", RANGES)
+def test_each_built_piece_derives_the_offset_the_reference_computes(exponents):
+    # the map stores start, slope and image start, and derives its offset
+    # from them; it must be the float the construction computed for the law
+    rng = random.Random(27)
+    pieces = 0
+    for _ in range(60):
+        try:
+            src = _source(rng, exponents)
+            dst = _partner(rng, exponents, src, None)
+        except LogSpaceError:
+            continue
+        pieces += _offset_bits(src, dst) + _offset_bits(dst, src)
+    assert pieces > 100
+
+
+def test_the_many_tiny_pieces_component_derives_the_reference_offsets():
+    src = MeasureSpace((_long_tail(),))
+    (m,) = [c.measure().value for c in src.components]
+    others = (interval_space(0, 1), interval_space(0, 1, m), interval_space(-3, -3 + 2 * m, 0.5))
+    # the first other is not isometric to it; each of the two others maps in one piece
+    assert sum(_offset_bits(src, other) + _offset_bits(other, src) for other in others) == 4
+
+
+def _nudged_pair(seed):
+    """The whole-space pair of ``test_whole_space_maps_match_the_reference_construction``'s second check."""
+    rng = random.Random(seed)
+    src = random_space(rng, 3, unbounded_prob=rng.choice([0.0, 0.5, 1.0]))
+    return src, MeasureSpace(tuple(_nudged(rng, c) for c in src.components))
+
+
+def _nudged_components(seed):
+    """The component pairs of ``test_glued_maps_match_the_reference_construction``'s second check."""
+    rng = random.Random(seed)
+    src, _ = random_matched_components_pair(rng)
+    return list(zip(src.components, [_nudged(rng, c) for c in src.components]))
+
+
+def _swapped(pairs):
+    return [(b, a) for a, b in pairs]
+
+
+_PIECES_OUT_OF_ORDER = "transport pieces of component 0 overlap or are out of order"
+_IMAGES_OUT_OF_ORDER = "transport images in component 0 overlap or are out of order"
+_A, _OVER = AffinePiece(0, 1, 1, 0, 1), AffinePiece(0.5, 1.5, 1, 1, 2)
+
+
+# (a map's builder, its arguments, the message): a position a few ulps past
+# its cell's end puts a built piece or image before the last, and one check
+# names it on a map built by hand, by the walk or by gluing
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (TransportMap, ((ComponentTransport(0, 0, (_A, _OVER)),), 1, 1), _PIECES_OUT_OF_ORDER),
+        (
+            TransportMap,
+            ((ComponentTransport(0, 0, (_A,)), ComponentTransport(1, 0, (_A,))), 2, 1),
+            _IMAGES_OUT_OF_ORDER,
+        ),
+        (transport_between_spaces, _nudged_pair(1627)[::-1], _PIECES_OUT_OF_ORDER),
+        (transport_between_spaces, _nudged_pair(1627), _IMAGES_OUT_OF_ORDER),
+        (glue_transports, (_swapped(_nudged_components(6070)),), _PIECES_OUT_OF_ORDER),
+        (glue_transports, (_nudged_components(6070),), _IMAGES_OUT_OF_ORDER),
+    ],
+    ids=["by-hand-pieces", "by-hand-images", "walked-pieces", "walked-images", "glued-pieces", "glued-images"],
+)
+def test_one_order_check_serves_every_map(build, args, message):
+    with pytest.raises(LogSpaceError, match=f"^{message}$"):
+        build(*args)
+    reference = {transport_between_spaces: reference_between_spaces, glue_transports: reference_glue}
+    if build in reference:  # the copied construction meets it in the constructor
+        assert _outcome(reference[build], *args) == ("LogSpaceError", message)
+
+
 def _assert_lift_keeps_the_norm(src, dst, start, stop):
     """The decision says isometric, so a function on [start, stop) lifts with its norm."""
     assert decide_isometric_external(build_passport(src), build_passport(dst)).verdict
@@ -449,12 +558,12 @@ def test_built_maps_hold_only_final_affine_pieces():
 
 
 def test_affine_pieces_built_directly_are_still_checked():
-    assert AffinePiece(0.0, 1.0, 2.0, 0.5, 0.5, 2.5).image_of(0.5) == 1.5
+    assert AffinePiece(0.0, 1.0, 2.0, 0.5, 2.5).image_of(0.5) == 1.5
     with pytest.raises(LogSpaceError, match="start < stop"):
-        AffinePiece(1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+        AffinePiece(1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(LogSpaceError, match="start < stop"):
-        AffinePiece(2.0, 1.0, 1.0, 0.0, 2.0, 1.0)
+        AffinePiece(2.0, 1.0, 1.0, 2.0, 1.0)
     with pytest.raises(LogSpaceError, match="slope must be > 0"):
-        AffinePiece(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        AffinePiece(0.0, 1.0, 0.0, 0.0, 0.0)
     with pytest.raises(LogSpaceError, match="slope must be > 0"):
-        AffinePiece(0.0, 1.0, -1.0, 0.0, 0.0, -1.0)
+        AffinePiece(0.0, 1.0, -1.0, 0.0, -1.0)

@@ -442,9 +442,9 @@ def test_a_source_split_over_two_entries_matches_entry_scan():
     # source 1's entry listed between the two
     tmap = TransportMap(
         (
-            ComponentTransport(0, 0, (AffinePiece(0, 1, 1, 0, 0, 1),)),
-            ComponentTransport(1, 0, (AffinePiece(0, 1, 1, 1, 1, 2),)),
-            ComponentTransport(0, 1, (AffinePiece(1, 3, 0.5, -0.5, 0, 1),)),
+            ComponentTransport(0, 0, (AffinePiece(0, 1, 1, 0, 1),)),
+            ComponentTransport(1, 0, (AffinePiece(0, 1, 1, 1, 2),)),
+            ComponentTransport(0, 1, (AffinePiece(1, 3, 0.5, 0, 1),)),
         ),
         2,
         2,

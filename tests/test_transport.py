@@ -371,7 +371,7 @@ class TestLift:
     def test_a_map_built_from_integers_lifts_to_float_bounds(self):
         s = interval_space(0, 1)
         f = StepFunction.from_pieces(s, [(0, 0.0, 0.5, 3), (0, 0.5, 1.0, 1)])
-        by_hand = TransportMap((ComponentTransport(0, 0, (AffinePiece(0, 1, 2, 0, 0, 2),)),))
+        by_hand = TransportMap((ComponentTransport(0, 0, (AffinePiece(0, 1, 2, 0, 2),)),))
         g = lift(by_hand, f)
         assert [(p.start.hex(), p.stop.hex()) for p in g.pieces[0]] == [
             (x.hex(), y.hex()) for x, y in ((0.0, 1.0), (1.0, 2.0))
@@ -457,8 +457,8 @@ class TestHandBuiltMaps:
         assert render_transport(rebuilt) == render_transport(built)
 
     # [0, 1) onto [0, 1), [1, 2) onto [0, 1) and [0.5, 1.5) onto [1, 2), by slope 1
-    A, B = AffinePiece(0, 1, 1, 0, 0, 1), AffinePiece(1, 2, 1, -1, 0, 1)
-    OVER = AffinePiece(0.5, 1.5, 1, 0.5, 1, 2)
+    A, B = AffinePiece(0, 1, 1, 0, 1), AffinePiece(1, 2, 1, 0, 1)
+    OVER = AffinePiece(0.5, 1.5, 1, 1, 2)
 
     @pytest.mark.parametrize(
         "entries",
@@ -475,6 +475,13 @@ class TestHandBuiltMaps:
         with pytest.raises(LogSpaceError, match="^transport pieces of component 0 overlap or are out of order$"):
             TransportMap(tuple(ComponentTransport(*e) for e in entries), 1, 2)
 
+    def test_an_index_out_of_range_is_reported_before_an_order_fault(self):
+        # the indexes are checked as the entries are grouped, and the order
+        # after them, in the one check every map passes
+        entries = (ComponentTransport(0, 0, (self.A, self.OVER)), ComponentTransport(0, 5, (self.B,)))
+        with pytest.raises(LogSpaceError, match="^component index 5 out of range$"):
+            TransportMap(entries, 1, 2)
+
     def test_pieces_of_different_sources_are_ordered_apart(self):
         # source 1's entry comes first, and source 0's piece starts after it stops
         tmap = TransportMap((ComponentTransport(1, 1, (self.A,)), ComponentTransport(0, 0, (self.B,))), 2, 2)
@@ -482,7 +489,7 @@ class TestHandBuiltMaps:
         assert lift(tmap, f) == StepFunction(((StepPiece(0, 1, 5),), (StepPiece(0, 1, 3),)))
 
     # [0, 1) onto [1, 2): with B after it in one entry, its source ascends and its image descends
-    C = AffinePiece(0, 1, 1, 1, 1, 2)
+    C = AffinePiece(0, 1, 1, 1, 2)
 
     @pytest.mark.parametrize(
         "entries",
@@ -500,7 +507,7 @@ class TestHandBuiltMaps:
             TransportMap(tuple(ComponentTransport(*e) for e in entries), 2, 1)
 
     def test_touching_and_collapsed_images_in_one_target_are_legal(self):
-        collapsed = AffinePiece(0, 1, 1, 1, 2, 2)
+        collapsed = AffinePiece(0, 1, 1, 2, 2)
         entries = [(0, 0, (self.A,)), (1, 0, (self.C,)), (2, 0, (collapsed,))]
         tmap = TransportMap(tuple(ComponentTransport(*e) for e in entries), 3, 1)
         f = StepFunction(((StepPiece(0, 1, 5),), (StepPiece(0, 1, 3),), ()))
@@ -516,8 +523,8 @@ class TestHandBuiltMaps:
         # the lift reported it as a "collapsed image"; equal ends, which a built
         # map can hold, stay legal and are one
         with pytest.raises(LogSpaceError, match="^affine piece must satisfy image_start <= image_stop, got"):
-            AffinePiece(0, 1, 1, 0, 1, 0)
-        tmap = TransportMap((ComponentTransport(0, 0, (AffinePiece(0, 1, 1, 0, 0.5, 0.5),)),))
+            AffinePiece(0, 1, 1, 1, 0)
+        tmap = TransportMap((ComponentTransport(0, 0, (AffinePiece(0, 1, 1, 0.5, 0.5),)),))
         with pytest.raises(LogSpaceError, match="collapsed image"):
             lift(tmap, StepFunction(((StepPiece(0, 1, 1),),)))
 

@@ -49,7 +49,7 @@ from logspaces.workspace import Workspace
 
 
 def _affine():
-    return AffinePiece(0.0, 1.0, 2.0, 3.0, 3.0, 5.0)
+    return AffinePiece(0.0, 1.0, 2.0, 3.0, 5.0)
 
 
 def _transport():
@@ -156,10 +156,8 @@ CASES = {
     ),
     "AffinePiece": (
         _affine,
-        lambda: AffinePiece(
-            start=0.0, stop=1.0, slope=2.0, offset=3.0, image_start=3.0, image_stop=5.0
-        ),
-        lambda: AffinePiece(0.0, 1.0, 2.0, 3.0, 3.0, 4.0),
+        lambda: AffinePiece(start=0.0, stop=1.0, slope=2.0, image_start=3.0, image_stop=5.0),
+        lambda: AffinePiece(0.0, 1.0, 2.0, 3.0, 4.0),
         "AffinePiece(start=0.0, stop=1.0, slope=2.0, offset=3.0, image_start=3.0,"
         " image_stop=5.0)",
     ),
@@ -233,7 +231,7 @@ def _past_constructor(cls, *values):
     return obj
 
 
-_OVERLAP = (AffinePiece(0, 1, 1, 0, 0, 1), AffinePiece(0.5, 1.5, 1, 0.5, 1, 2))
+_OVERLAP = (AffinePiece(0, 1, 1, 0, 1), AffinePiece(0.5, 1.5, 1, 1, 2))
 
 # (a value built past its constructor, the constructor's message for it)
 TAMPERED = {
@@ -242,7 +240,7 @@ TAMPERED = {
         "step piece must satisfy start < stop, got [2.0, 1.0)",
     ),
     "AffinePiece": (
-        lambda: _past_constructor(AffinePiece, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0),
+        lambda: _past_constructor(AffinePiece, 0.0, 1.0, 1.0, 1.0, 0.0),
         "affine piece must satisfy image_start <= image_stop, got [1.0, 0.0)",
     ),
     "TransportMap": (
@@ -327,8 +325,8 @@ NUMBER_FIELDS = [
     (lambda v: FiniteList((1.0, v)), "finite measure"),
     (lambda v: ClosedForm("CONST", (v,)), "CONST parameter c"),
     (lambda v: ClosedForm("GEOM", (1.0, v)), "GEOM parameter r"),
-    (lambda v: AffinePiece(v, 1, 1, 0, 0, 1), "affine piece start"),
-    (lambda v: AffinePiece(0, 1, 1, 0, 0, v), "affine piece image_stop"),
+    (lambda v: AffinePiece(v, 1, 1, 0, 1), "affine piece start"),
+    (lambda v: AffinePiece(0, 1, 1, 0, v), "affine piece image_stop"),
     (lambda v: MeasurableSet(((0, v, 1),)), "subinterval start"),
     (lambda v: MeasurableSet(((0, 0, v),)), "subinterval stop"),
     (lambda v: StepFunction.from_pieces(interval_space(0, 2), [(0, v, 1, 1)]), "step piece start"),
@@ -355,18 +353,19 @@ def test_real_fields_reject_integers_too_large_for_a_float(build, name):
 # (fields, the constructor's message) for affine pieces holding a NaN or an
 # infinity; only stop and image_stop may be +inf, as the unbounded tail piece
 # needs.  Each of these used to build, and went through a map's constructor.
+# The offset, image_start - slope * start, is derived from three finite
+# fields, so it can overflow but never be NaN.
 NON_FINITE_AFFINE = [
-    ((0, 1, math.inf, 0, 0, 1), "affine piece slope must be finite, got inf"),
-    ((0, 1, math.nan, 0, 0, 1), "affine piece slope must be finite, got nan"),
-    ((0, 1, 1, math.nan, 0, 1), "affine piece offset must be finite, got nan"),
-    ((0, 1, 1, math.inf, 0, 1), "affine piece offset must be finite, got inf"),
-    ((0, 1, 1, -math.inf, 0, 1), "affine piece offset must be finite, got -inf"),
-    ((0, 1, 1, 0, math.nan, 1), "affine piece image_start must be finite, got nan"),
-    ((0, 1, 1, 0, -math.inf, 1), "affine piece image_start must be finite, got -inf"),
-    ((0, 1, 1, 0, 0, math.nan), "affine piece must satisfy image_start <= image_stop, got [0.0, nan)"),
-    ((-math.inf, 1, 1, 0, 0, 1), "affine piece start must be finite, got -inf"),
-    ((math.nan, 1, 1, 0, 0, 1), "affine piece start must be finite, got nan"),
-    ((0, math.nan, 1, 0, 0, 1), "affine piece must satisfy start < stop"),
+    ((0, 1, math.inf, 0, 1), "affine piece slope must be finite, got inf"),
+    ((0, 1, math.nan, 0, 1), "affine piece slope must be finite, got nan"),
+    ((1e300, 2e300, 1e10, 0, 1), "affine piece offset must be finite, got -inf"),
+    ((-2e300, -1e300, 1e10, 0, 1), "affine piece offset must be finite, got inf"),
+    ((0, 1, 1, math.nan, 1), "affine piece image_start must be finite, got nan"),
+    ((0, 1, 1, -math.inf, 1), "affine piece image_start must be finite, got -inf"),
+    ((0, 1, 1, 0, math.nan), "affine piece must satisfy image_start <= image_stop, got [0.0, nan)"),
+    ((-math.inf, 1, 1, 0, 1), "affine piece start must be finite, got -inf"),
+    ((math.nan, 1, 1, 0, 1), "affine piece start must be finite, got nan"),
+    ((0, math.nan, 1, 0, 1), "affine piece must satisfy start < stop"),
 ]
 
 
@@ -376,8 +375,31 @@ def test_affine_pieces_reject_nan_and_infinite_fields_by_name(fields, message):
         AffinePiece(*fields)
 
 
+def test_an_affine_piece_derives_its_offset_and_takes_none():
+    piece = AffinePiece(1.0, 2.0, 3.0, 4.0, 7.0)
+    assert piece.offset == 1.0
+    with pytest.raises(AttributeError):
+        piece.offset = 1.0
+    with pytest.raises(TypeError):
+        AffinePiece(1.0, 2.0, 3.0, 1.0, 4.0, 7.0)
+    with pytest.raises(TypeError):
+        AffinePiece(1.0, 2.0, 3.0, offset=1.0, image_start=4.0, image_stop=7.0)
+
+
+class _SixFieldPiece:
+    """Pickles as an affine piece did while it stored its offset as a field."""
+
+    def __reduce__(self):
+        return AffinePiece, (1.0, 2.0, 3.0, 1.0, 4.0, 7.0)
+
+
+def test_a_pickled_six_field_affine_piece_no_longer_loads():
+    with pytest.raises(TypeError, match="takes 5 arguments, got 6"):
+        pickle.loads(pickle.dumps(_SixFieldPiece()))
+
+
 def test_only_the_ends_of_an_affine_piece_may_be_unbounded():
-    tail = AffinePiece(0, math.inf, 1, 0, 0, math.inf)
+    tail = AffinePiece(0, math.inf, 1, 0, math.inf)
     assert (tail.stop, tail.image_stop) == (math.inf, math.inf)
     assert TransportMap((ComponentTransport(0, 0, (tail,)),)).entries[0].pieces == (tail,)
 
@@ -546,7 +568,7 @@ def test_real_fields_take_integers_as_floats():
     assert FiniteList((3,)).values == (3.0,)
     assert ClosedForm("LINEAR", (2, 1)).params == (2.0, 1.0)
     assert StepPiece(0, 1, 2) == StepPiece(0.0, 1.0, 2 + 0j)
-    assert type(AffinePiece(0, 1, 2, 0, 0, 2).slope) is float
+    assert type(AffinePiece(0, 1, 2, 0, 2).slope) is float
     assert MeasurableSet(((1, 0, 2),)).parts == ((1, 0.0, 2.0),)
     assert type(MeasurableSet(((1, 0, 2),)).parts[0][1]) is float
 
