@@ -233,10 +233,7 @@ class StepFunction(Value):
 
 
 def _pointwise(f: StepFunction, g: StepFunction, fn) -> StepFunction:
-    """fn of the coefficients on the merged cells of f and g; gaps count as 0j.
-
-    fn(0, 0) must be 0; cells on which neither function has a piece are skipped.
-    """
+    """fn of the coefficients on the merged cells of f and g; gaps count as 0j, and fn(0, 0) must be 0."""
     if len(f.columns) != len(g.columns):
         raise LogSpaceError("step functions live on different spaces")
     return _wrap(tuple([_from_cells(_pointwise_cells(a, b, fn)) for a, b in zip(f.columns, g.columns)]))
@@ -245,12 +242,15 @@ def _pointwise(f: StepFunction, g: StepFunction, fn) -> StepFunction:
 def _pointwise_cells(a: _Columns, b: _Columns, fn) -> list[tuple[float, float, complex]]:
     """(lo, hi, fn(ca, cb)) on the cells of ``merge_pieces`` over the pieces of a and b, bit for bit.
 
-    The merge written out for two components' columns, with a cursor on
-    each: a component's next breakpoint is the stop of its live piece, or in
-    a gap the start of its next piece (coefficient 0j), or +inf once it is
-    spent.  Cells that neither component covers are skipped.  A cell ends
-    at the first component's bound among equal bounds, as ``min`` picks it,
-    which keeps the sign of a zero bound.
+    The sweep under ``add``, ``multiply`` and ``weighting_isometry``: the
+    merge written out for two components' columns, a cursor on each.  A
+    component's next breakpoint is the stop of its live piece, in a gap the
+    start of its next piece (coefficient 0j), or +inf once it is spent.
+    Cells that neither covers are skipped.  A cell ends at the first
+    component's bound among equal bounds, as ``min`` picks it, which keeps
+    the sign of a zero bound.  In the weighting a gap in f divides to 0j,
+    which the builder drops; a gap in h would divide by zero, so the
+    weighting first checks that f lies in h's carrier, where h has none.
     """
     inf = math.inf
     sa, ta, ka = a

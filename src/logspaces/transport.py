@@ -42,6 +42,7 @@ the External norm, and a density h the External norm onto Internal(h).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -66,6 +67,7 @@ from .stepfunctions import (
     _as_space_density,
     _bounds,
     _from_cells,
+    _pointwise_cells,
     _wrap,
     log_norm,
 )
@@ -516,22 +518,20 @@ def lift(tmap: TransportMap, f: StepFunction) -> StepFunction:
 def weighting_isometry(f: StepFunction, h: SpaceDensity | PiecewiseDensity) -> StepFunction:
     """U(f) = f / h; turns the plain norm of f into the h-weighted norm of U(f).
 
-    Every piece of f must lie in the carrier of its component's h.
+    Every piece of f must lie in the carrier of its component's h.  That is
+    checked first; h has no gap inside its carrier, so each component's
+    quotient is then one ``_pointwise_cells`` sweep against h's columns.
     """
     h = _as_space_density(h, "weighting density")
     if len(h) != len(f.columns):
         raise LogSpaceError("kind/space mismatch")
     out = []
     for hc, col in zip(h, f.columns):
-        dens, coefs = hc.pieces, col[2]
-        raw = []
-        for lo, hi, (i, j) in merge_pieces(col, ([p.start for p in dens], [p.stop for p in dens])):
-            if i is None:
-                continue
-            if j is None:
-                raise LogSpaceError("out of carrier")
-            raw.append((lo, hi, coefs[i] / dens[j].value))
-        out.append(_from_cells(raw))
+        if col[0] and (col[0][0] < hc.start or col[1][-1] > hc.stop):
+            raise LogSpaceError("out of carrier")
+        dens = hc.pieces
+        h_cols = ([p.start for p in dens], [p.stop for p in dens], [p.value for p in dens])
+        out.append(_from_cells(_pointwise_cells(col, h_cols, operator.truediv)))
     return _wrap(tuple(out))
 
 

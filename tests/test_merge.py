@@ -1,7 +1,8 @@
 """The one piece merge against the per-piece walks it replaced.
 
-``add``/``multiply``, ``weighting_isometry``, ``lift`` and ``transport_set``
-all walk piece lists against each other through ``merge_pieces`` now.  The
+``lift`` and ``transport_set`` walk piece lists against each other through
+``merge_pieces`` now, and ``add``/``multiply`` and ``weighting_isometry``
+through ``_pointwise_cells``, which gives its cells bit for bit.  The
 references below are the earlier walks: a sorted breakpoint set for the
 pointwise operations, a per-piece slice of h for the weighting, and a scan
 of every transport entry for every source piece for lift and set transport.
@@ -75,7 +76,7 @@ def reference_weighting(f, h):
     for hc, pieces in zip(h, f.pieces):
         raw = []
         for p in pieces:
-            if p.start < hc.start or (not math.isinf(p.stop) and p.stop > hc.stop):
+            if p.start < hc.start or p.stop > hc.stop:
                 raise LogSpaceError("out of carrier")
             for q in hc.pieces:
                 lo, hi = max(q.start, p.start), min(q.stop, p.stop)
@@ -177,16 +178,38 @@ def test_add_and_multiply_match_breakpoint_walk(seed, max_pieces):
         assert _exact(got) == _exact(want)
 
 
+def _dense_density(rng, space):
+    """8-64 pieces per component on a jittered grid, as the transport workload's h has.
+
+    An unbounded carrier's grid spans [lo, lo + 8), past the sampling window
+    and the tails' start at lo + 5, and its last piece runs to +inf.
+    """
+    out = []
+    for c in space.components:
+        lo, hi = c.carrier
+        n = rng.randint(8, 64)
+        step = (8.0 if math.isinf(hi) else hi - lo) / n
+        bounds = [lo] + [lo + step * (k + rng.uniform(-0.4, 0.4)) for k in range(1, n)] + [hi]
+        pieces = [IntervalPiece(a, b, rng.uniform(0.25, 4.0)) for a, b in zip(bounds, bounds[1:])]
+        out.append(PiecewiseDensity(tuple(pieces)))
+    return tuple(out)
+
+
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), max_pieces=st.integers(1, 24), shift=st.booleans())
-def test_weighting_matches_per_piece_slices(seed, max_pieces, shift):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_pieces=st.integers(1, 24),
+    shift=st.booleans(),
+    dense=st.booleans(),
+)
+def test_weighting_matches_per_piece_slices(seed, max_pieces, shift, dense):
     rng = random.Random(seed)
     space = random_space(rng, 3, unbounded_prob=0.5)
     f = random_step_function(rng, space, max_pieces=max_pieces)
     f, _ = _with_tails(rng, space, f, MeasurableSet(()))
     if shift:
         f = _shifted(f, rng.uniform(-2.0, 2.0))
-    h = random_density(rng, space)
+    h = _dense_density(rng, space) if dense else random_density(rng, space)
     got = _exact(_outcome(weighting_isometry, f, h))
     assert got == _exact(_outcome(reference_weighting, f, h))
 

@@ -42,6 +42,7 @@ from logspaces.sampling import (
     random_step_function,
 )
 from logspaces.transport import AffinePiece, ComponentTransport, IsometryReport, TransportMap
+from test_merge import _exact, _outcome, reference_weighting
 
 
 def comp(spec, weight=0):
@@ -601,6 +602,43 @@ class TestWeighting:
         rhs = log_norm(u, s, Internal(h)).value
         assert abs(lhs - math.log(3)) < 1e-12
         assert abs(rhs - math.log(3)) < 1e-12
+
+    # f's (start, stop, coef) pieces and h's (start, stop, value) pieces per
+    # component, and the error message the weighting starts with, or None
+    # for reference_weighting's columns; f is built without a carrier check
+    @pytest.mark.parametrize(
+        "pieces, h, want",
+        [
+            # leaves the carrier, and its quotient 1e10 / 1e-300 overflows too
+            ([[(0.5, 1.5, 1e10)]], [[(0.0, 1.0, 1e-300)]], "out of carrier"),
+            # components in order: an overflow in component 0 before a carrier fault in 1
+            (
+                [[(0.0, 1.0, 1e10)], [(2.5, 4.0, 1)]],
+                [[(0.0, 1.0, 1e-300)], [(2.0, 3.0, 1.0)]],
+                "step coefficient must be finite",
+            ),
+            (
+                [[(-0.5, 0.5, 1)], [(2.0, 3.0, 1e10)]],
+                [[(0.0, 1.0, 1.0)], [(2.0, 3.0, 1e-300)]],
+                "out of carrier",
+            ),
+            ([[(-0.5, 0.5, 1)]], [[(0.0, 0.5, 2.0), (0.5, 1.0, 4.0)]], "out of carrier"),  # starts before h
+            ([[(0.5, 1.5, 1)]], [[(0.0, 0.5, 2.0), (0.5, 1.0, 4.0)]], "out of carrier"),  # stops past h
+            ([[(0.5, math.inf, 1)]], [[(0.0, 1.0, 2.0)]], "out of carrier"),  # unbounded, h bounded
+            ([[], [(2.0, 3.0, 3)]], [[(0.0, 1.0, 2.0)], [(2.0, 3.0, 2.0)]], None),  # an empty component
+            # touching both ends of h's carrier, across h's cuts
+            ([[(0.0, 0.25, 1), (0.25, 1.0, 2j)]], [[(0.0, 0.5, 2.0), (0.5, 1.0, 4.0)]], None),
+            ([[(0.0, 2.0, 1), (3.0, math.inf, 1j)]], [[(0.0, 1.0, 2.0), (1.0, math.inf, 4.0)]], None),
+        ],
+    )
+    def test_carrier_faults_overflows_and_edges(self, pieces, h, want):
+        f = StepFunction(tuple(tuple(StepPiece(*p) for p in ps) for ps in pieces))
+        h = tuple(density(spec) for spec in h)
+        got = _exact(_outcome(weighting_isometry, f, h))  # any other exception fails the test
+        if want is None:
+            assert got == _exact(reference_weighting(f, h))
+        else:
+            assert got[0] == "LogSpaceError" and got[1].startswith(want)
 
     def test_exactness_over_random_pairs(self):
         rng = random.Random(32)
